@@ -8,7 +8,6 @@
 
 #include "bench/grid_util.h"
 #include "src/common/flags.h"
-#include "src/policy/policy_spec.h"
 
 using namespace spotcheck;
 
@@ -23,24 +22,18 @@ int main(int argc, char** argv) {
   std::printf("%-10s %12s %12s %12s %10s %10s\n", "policy", "cost($/hr)",
               "unavail(%)", "degr(%)", "revocs", "backups");
 
-  const MappingPolicyKind kPolicies[] = {
-      MappingPolicyKind::k1PM,          MappingPolicyKind::k4PED,
-      MappingPolicyKind::k4PCost,       MappingPolicyKind::k4PStability,
-      MappingPolicyKind::kGreedyCheapest, MappingPolicyKind::kStabilityFirst};
-  for (MappingPolicyKind policy : kPolicies) {
+  for (const PaperPolicy& policy : kPaperPolicies) {
     const EvaluationResult result = RunPolicyEvaluation(
-        GridConfig(policy, MigrationMechanism::kSpotCheckLazyRestore));
-    std::printf("%-10s %12.4f %12.5f %12.4f %10lld %10d\n",
-                std::string(MappingPolicyName(policy)).c_str(),
+        GridConfig(policy.spec, MigrationMechanism::kSpotCheckLazyRestore));
+    std::printf("%-10s %12.4f %12.5f %12.4f %10lld %10d\n", policy.label,
                 result.avg_cost_per_vm_hour, result.unavailability_pct,
                 result.degradation_pct,
                 static_cast<long long>(result.revocation_events),
                 result.num_backup_servers);
   }
   if (!policy_flag.empty()) {
-    EvaluationConfig config = GridConfig(
-        MappingPolicyKind::k1PM, MigrationMechanism::kSpotCheckLazyRestore);
-    config.policy_spec = ParsePolicySpecOrExit(policy_flag);
+    const EvaluationConfig config =
+        GridConfig(policy_flag, MigrationMechanism::kSpotCheckLazyRestore);
     const EvaluationResult result = RunPolicyEvaluation(config);
     std::printf("%-10s %12.4f %12.5f %12.4f %10lld %10d\n",
                 config.policy_spec->map.ToString().c_str(),

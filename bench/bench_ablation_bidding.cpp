@@ -8,7 +8,6 @@
 
 #include "bench/grid_util.h"
 #include "src/common/flags.h"
-#include "src/policy/policy_spec.h"
 
 using namespace spotcheck;
 
@@ -28,28 +27,30 @@ int main(int argc, char** argv) {
   // bidding the on-demand price approximates the optimum. Higher bids ride
   // out the cheaper spikes.
   const struct {
-    double k;
+    const char* spec;
     bool proactive;
-  } kRows[] = {{1.0, false}, {2.0, false}, {3.0, false},
-               {5.0, false}, {3.0, true},  {5.0, true}};
+  } kRows[] = {{"bid=on-demand,map=4p-ed", false},
+               {"bid=multiple:2,map=4p-ed", false},
+               {"bid=multiple:3,map=4p-ed", false},
+               {"bid=multiple:5,map=4p-ed", false},
+               {"bid=multiple:3,map=4p-ed", true},
+               {"bid=multiple:5,map=4p-ed", true}};
   for (const auto& row : kRows) {
     EvaluationConfig config =
-        GridConfig(MappingPolicyKind::k4PED, MigrationMechanism::kSpotCheckLazyRestore);
-    config.bidding = row.k == 1.0 ? BiddingPolicy::OnDemand()
-                                  : BiddingPolicy::Multiple(row.k);
+        GridConfig(row.spec, MigrationMechanism::kSpotCheckLazyRestore);
     config.proactive = row.proactive;
     const EvaluationResult result = RunPolicyEvaluation(config);
     std::printf("%-22s %-10s %10lld %10lld %12.4f %12.5f %12.4f\n",
-                config.bidding.ToString().c_str(), row.proactive ? "yes" : "no",
+                ("bid=" + config.policy_spec->bid.ToString()).c_str(),
+                row.proactive ? "yes" : "no",
                 static_cast<long long>(result.revocation_events),
                 static_cast<long long>(result.repatriations),
                 result.avg_cost_per_vm_hour, result.unavailability_pct,
                 result.degradation_pct);
   }
   if (!policy_flag.empty()) {
-    EvaluationConfig config = GridConfig(
-        MappingPolicyKind::k4PED, MigrationMechanism::kSpotCheckLazyRestore);
-    config.policy_spec = ParsePolicySpecOrExit(policy_flag);
+    EvaluationConfig config =
+        GridConfig(policy_flag, MigrationMechanism::kSpotCheckLazyRestore);
     config.proactive = true;  // no-op for bids without proactive support
     const EvaluationResult result = RunPolicyEvaluation(config);
     std::printf("%-22s %-10s %10lld %10lld %12.4f %12.5f %12.4f\n",

@@ -5,28 +5,23 @@
 // effect is measured.
 
 #include <cstdio>
-#include <optional>
 #include <string>
 
 #include "bench/grid_util.h"
 #include "src/market/revocation_predictor.h"
 #include "src/market/spot_price_process.h"
 #include "src/common/flags.h"
-#include "src/policy/policy_spec.h"
 
 using namespace spotcheck;
 
 int main(int argc, char** argv) {
   const FlagParser flags(argc, argv);
-  // Optional strategy-layer override for the end-to-end comparison:
   // --policy="bid=on-demand,map=index-track" runs both the reactive and
-  // predictive variants under that spec instead of 4P-ED.
-  const std::string policy_flag = flags.GetString("policy", "");
+  // predictive variants of the end-to-end comparison under that spec
+  // instead of 4P-ED (registry-validated; bad specs exit 2).
+  const std::string policy =
+      flags.GetString("policy", "bid=on-demand,map=4p-ed");
   flags.ExitIfUnknownFlags("--policy=SPEC");
-  std::optional<PolicySpec> policy_spec;
-  if (!policy_flag.empty()) {
-    policy_spec = ParsePolicySpecOrExit(policy_flag);
-  }
 
   std::printf("=== Predictor quality per market (six months, bid = on-demand)"
               " ===\n");
@@ -46,14 +41,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n=== End-to-end effect (%s, SpotCheck lazy restore) ===\n",
-              policy_spec.has_value() ? policy_spec->ToString().c_str()
-                                      : "4P-ED");
+              policy.c_str());
   std::printf("%-12s %10s %10s %12s %12s %12s\n", "variant", "revocs", "drains",
               "cost($/hr)", "unavail(%)", "degr(%)");
   for (bool predictive : {false, true}) {
-    EvaluationConfig config = GridConfig(MappingPolicyKind::k4PED,
-                                         MigrationMechanism::kSpotCheckLazyRestore);
-    config.policy_spec = policy_spec;
+    EvaluationConfig config =
+        GridConfig(policy, MigrationMechanism::kSpotCheckLazyRestore);
     EvaluationResult result;
     if (predictive) {
       // Run through the controller directly to flip the predictive knob.
@@ -65,9 +58,8 @@ int main(int argc, char** argv) {
       cloud_config.latency_seed = config.seed ^ 0xfeed;
       NativeCloud cloud(&sim, &markets, cloud_config);
       ControllerConfig controller_config;
-      controller_config.mapping = config.policy;
+      controller_config.policy_spec = config.policy_spec;
       controller_config.mechanism = config.mechanism;
-      controller_config.policy_spec = policy_spec;
       controller_config.enable_predictive = true;
       controller_config.seed = config.seed;
       SpotCheckController controller(&sim, &cloud, &markets, controller_config);

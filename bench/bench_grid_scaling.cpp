@@ -27,20 +27,21 @@
 #include "src/core/parallel_evaluation.h"
 #include "src/obs/grid_summary.h"
 #include "src/obs/json.h"
+#include "src/policy/policy_spec.h"
 
 namespace spotcheck {
 namespace {
 
 std::vector<EvaluationConfig> SweepGrid(int horizon_days, int num_vms) {
   std::vector<EvaluationConfig> configs;
-  for (MappingPolicyKind policy :
-       {MappingPolicyKind::k1PM, MappingPolicyKind::k2PML,
-        MappingPolicyKind::k4PED, MappingPolicyKind::k4PCost}) {
+  for (const char* spec :
+       {"bid=on-demand,map=1p-m", "bid=on-demand,map=2p-ml",
+        "bid=on-demand,map=4p-ed", "bid=on-demand,map=4p-cost"}) {
     for (MigrationMechanism mechanism :
          {MigrationMechanism::kSpotCheckFullRestore,
           MigrationMechanism::kSpotCheckLazyRestore}) {
       EvaluationConfig config;
-      config.policy = policy;
+      config.policy_spec = ParsePolicySpecOrExit(spec);
       config.mechanism = mechanism;
       config.num_vms = num_vms;
       config.horizon = SimDuration::Days(horizon_days);

@@ -44,18 +44,15 @@ int Run(int argc, const char* const* argv) {
   flags.ExitIfUnknownFlags(
       "--jobs=N, --days=N, --vms=N, --seed=N, --policy=SPEC, --out=PATH");
 
-  // Every row goes through the strategy layer -- the Table 2 policies by
-  // their registry names, so the whole frontier exercises one code path.
-  std::vector<FrontierRow> rows = {
-      {"1P-M", "bid=on-demand,map=1p-m"},
-      {"2P-ML", "bid=on-demand,map=2p-ml"},
-      {"4P-ED", "bid=on-demand,map=4p-ed"},
-      {"4P-COST", "bid=on-demand,map=4p-cost"},
-      {"4P-ST", "bid=on-demand,map=4p-st"},
-      {"INDEX", "bid=on-demand,map=index-track"},
-      {"ADAPT-ED", "bid=adaptive:2,map=4p-ed"},
-      {"ADAPT-IDX", "bid=adaptive:2,map=index-track"},
-  };
+  // Every row goes through the strategy layer: the Table 2 policies from
+  // the shared label table, then the strategy-layer families.
+  std::vector<FrontierRow> rows;
+  for (const PaperPolicy& policy : kTable2Policies) {
+    rows.push_back({policy.label, policy.spec});
+  }
+  rows.insert(rows.end(), {{"INDEX", "bid=on-demand,map=index-track"},
+                           {"ADAPT-ED", "bid=adaptive:2,map=4p-ed"},
+                           {"ADAPT-IDX", "bid=adaptive:2,map=index-track"}});
   if (!extra_policy.empty()) {
     rows.push_back({"CUSTOM", extra_policy});
   }

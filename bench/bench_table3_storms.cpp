@@ -14,10 +14,10 @@ int main(int argc, char** argv) {
   const GridBenchArgs args = ParseGridBenchArgs(argc, argv);
   const struct {
     const char* label;
-    MappingPolicyKind policy;
-  } kRows[] = {{"1-Pool", MappingPolicyKind::k1PM},
-               {"2-Pool", MappingPolicyKind::k2PML},
-               {"4-Pool", MappingPolicyKind::k4PED}};
+    const char* spec;
+  } kRows[] = {{"1-Pool", "bid=on-demand,map=1p-m"},
+               {"2-Pool", "bid=on-demand,map=2p-ml"},
+               {"4-Pool", "bid=on-demand,map=4p-ed"}};
 
   // Both table variants (independent and regionally-coupled markets) are one
   // batch for the parallel grid runner: six independent six-month cells.
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   for (const bool coupled : {false, true}) {
     for (const auto& row : kRows) {
       EvaluationConfig config =
-          GridConfig(row.policy, MigrationMechanism::kSpotCheckLazyRestore);
+          GridConfig(row.spec, MigrationMechanism::kSpotCheckLazyRestore);
       if (coupled) {
         config.market_coupling = 0.5;
         config.shared_events_per_day = 0.1;

@@ -16,13 +16,9 @@
 #include "src/core/parallel_evaluation.h"
 #include "src/obs/grid_summary.h"
 #include "src/obs/trace.h"
+#include "src/policy/policy_spec.h"
 
 namespace spotcheck {
-
-// The five placement policies of Table 2, in the paper's plot order.
-inline constexpr std::array<MappingPolicyKind, 5> kGridPolicies = {
-    MappingPolicyKind::k1PM, MappingPolicyKind::k2PML, MappingPolicyKind::k4PED,
-    MappingPolicyKind::k4PCost, MappingPolicyKind::k4PStability};
 
 // The four mechanism variants plotted in Figures 10-12.
 inline constexpr std::array<MigrationMechanism, 4> kGridMechanisms = {
@@ -30,10 +26,12 @@ inline constexpr std::array<MigrationMechanism, 4> kGridMechanisms = {
     MigrationMechanism::kSpotCheckFullRestore,
     MigrationMechanism::kSpotCheckLazyRestore};
 
-inline EvaluationConfig GridConfig(MappingPolicyKind policy,
+// `spec` is a policy spec string ("bid=on-demand,map=4p-ed"); a bad one
+// exits 2.
+inline EvaluationConfig GridConfig(const std::string& spec,
                                    MigrationMechanism mechanism) {
   EvaluationConfig config;
-  config.policy = policy;
+  config.policy_spec = ParsePolicySpecOrExit(spec);
   config.mechanism = mechanism;
   config.num_vms = 40;                        // one backup server's worth
   config.horizon = SimDuration::Days(180);    // April-October 2014
@@ -160,25 +158,26 @@ inline void WriteGridArtifacts(const GridBenchArgs& args,
 }
 
 // Prints one figure's grid and exports it to bench_out/<csv_name>.csv;
-// `metric` extracts the plotted value. All 20 cells run up front on the
-// parallel grid runner (`jobs` workers; 0 = auto), then print in plot order.
+// `metric` extracts the plotted value. All 20 cells (kTable2Policies x
+// kGridMechanisms) run up front on the parallel grid runner (`jobs` workers;
+// 0 = auto), then print in plot order.
 template <typename MetricFn>
 void PrintGrid(const char* header, const char* unit, const char* csv_name,
                MetricFn metric, const GridBenchArgs& args = {}) {
   std::vector<EvaluationConfig> configs;
   std::vector<std::string> cells;
-  configs.reserve(kGridPolicies.size() * kGridMechanisms.size());
+  configs.reserve(kTable2Policies.size() * kGridMechanisms.size());
   cells.reserve(configs.capacity());
-  for (MappingPolicyKind policy : kGridPolicies) {
+  for (const PaperPolicy& policy : kTable2Policies) {
     for (MigrationMechanism mechanism : kGridMechanisms) {
-      EvaluationConfig config = GridConfig(policy, mechanism);
+      EvaluationConfig config = GridConfig(policy.spec, mechanism);
       config.chaos = ChaosConfigForLevel(args.chaos_level, args.chaos_seed);
       config.collect_trace = !args.trace_dir.empty();
       // --timeseries-dir turns on the whole flight recorder: telemetry
       // sampling plus event-cost profiling (both behavior-free).
       config.collect_timeseries = !args.timeseries_dir.empty();
       config.collect_profile = !args.timeseries_dir.empty();
-      cells.push_back(std::string(MappingPolicyName(policy)) + "_" +
+      cells.push_back(std::string(policy.label) + "_" +
                       std::string(MigrationMechanismName(mechanism)));
       config.report_label = cells.back();
       configs.push_back(config);
@@ -209,9 +208,9 @@ void PrintGrid(const char* header, const char* unit, const char* csv_name,
   std::printf("\n");
   std::vector<std::vector<std::string>> csv_rows;
   size_t cell = 0;
-  for (MappingPolicyKind policy : kGridPolicies) {
-    std::printf("%-10s", std::string(MappingPolicyName(policy)).c_str());
-    std::vector<std::string> csv_row = {std::string(MappingPolicyName(policy))};
+  for (const PaperPolicy& policy : kTable2Policies) {
+    std::printf("%-10s", policy.label);
+    std::vector<std::string> csv_row = {policy.label};
     for (size_t m = 0; m < kGridMechanisms.size(); ++m) {
       const EvaluationResult& result = results[cell++];
       std::printf("  %24.6f", metric(result));

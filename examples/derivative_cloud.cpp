@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "src/core/controller.h"
+#include "src/policy/policy_spec.h"
 #include "src/sim/simulator.h"
 #include "src/common/flags.h"
 
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
   NativeCloud cloud(&sim, &markets, cloud_config);
 
   ControllerConfig config;
-  config.mapping = MappingPolicyKind::k4PED;
+  config.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=4p-ed");
   config.num_zones = 2;            // outage insurance
   config.enable_predictive = true; // leave before the spike when possible
   config.use_staging = true;

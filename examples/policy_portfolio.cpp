@@ -37,28 +37,21 @@ int main(int argc, char** argv) {
   // The five Table 2 policies, then the strategy-layer families.
   struct Row {
     std::string name;
-    MappingPolicyKind policy = MappingPolicyKind::k1PM;
-    std::string spec;  // overrides `policy` when non-empty
+    std::string spec;
   };
-  std::vector<Row> rows = {
-      {"1P-M", MappingPolicyKind::k1PM, ""},
-      {"2P-ML", MappingPolicyKind::k2PML, ""},
-      {"4P-ED", MappingPolicyKind::k4PED, ""},
-      {"4P-COST", MappingPolicyKind::k4PCost, ""},
-      {"4P-ST", MappingPolicyKind::k4PStability, ""},
-      {"INDEX", MappingPolicyKind::k1PM, "bid=on-demand,map=index-track"},
-      {"ADAPTIVE", MappingPolicyKind::k1PM, "bid=adaptive:2,map=4p-ed"},
-  };
+  std::vector<Row> rows;
+  for (const PaperPolicy& policy : kTable2Policies) {
+    rows.push_back({policy.label, policy.spec});
+  }
+  rows.push_back({"INDEX", "bid=on-demand,map=index-track"});
+  rows.push_back({"ADAPTIVE", "bid=adaptive:2,map=4p-ed"});
   if (!policy_flag.empty()) {
-    rows.push_back({"CUSTOM", MappingPolicyKind::k1PM, policy_flag});
+    rows.push_back({"CUSTOM", policy_flag});
   }
 
   for (const Row& row : rows) {
     EvaluationConfig config;
-    config.policy = row.policy;
-    if (!row.spec.empty()) {
-      config.policy_spec = ParsePolicySpecOrExit(row.spec);
-    }
+    config.policy_spec = ParsePolicySpecOrExit(row.spec);
     config.num_vms = 40;
     config.horizon = SimDuration::Days(60);
     config.seed = 2;

@@ -14,6 +14,8 @@
 #include <map>
 
 #include "src/core/controller.h"
+#include "src/policy/policy_spec.h"
+#include "src/policy/strategy.h"
 #include "src/sim/simulator.h"
 #include "src/common/flags.h"
 
@@ -50,15 +52,15 @@ int main(int argc, char** argv) {
     std::printf("  %-12s $%.4f/hr / %d slots = $%.4f per slot\n",
                 std::string(InstanceTypeName(type)).c_str(), market->CurrentPrice(),
                 NestedSlotsPerHost(type, InstanceType::kM3Medium),
-                MappingPolicy::PerSlotPrice(*market, InstanceType::kM3Medium,
-                                            SimTime()));
+                PoolSelectionStrategy::PerSlotPrice(
+                    *market, InstanceType::kM3Medium, SimTime()));
   }
 
   NativeCloudConfig cloud_config;
   cloud_config.sample_latencies = false;
   NativeCloud cloud(&sim, &markets, cloud_config);
   ControllerConfig config;
-  config.mapping = MappingPolicyKind::kGreedyCheapest;
+  config.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=greedy");
   SpotCheckController controller(&sim, &cloud, &markets, config);
 
   const CustomerId customer = controller.RegisterCustomer("arbitrageur");

@@ -154,22 +154,12 @@ void SpotCheckController::RegisterTelemetry(TimeSeriesRecorder& ts) {
 std::string SpotCheckController::DumpState() const {
   std::string out;
   char line[256];
-  if (config_.policy_spec.has_value()) {
-    std::snprintf(line, sizeof(line),
-                  "SpotCheck controller @ %s | policy=%s mechanism=%s bid=%s\n",
-                  FormatTime(sim_->Now()).c_str(),
-                  policy_spec_.map.ToString().c_str(),
-                  std::string(MigrationMechanismName(config_.mechanism)).c_str(),
-                  policy_spec_.bid.ToString().c_str());
-  } else {
-    // Legacy print, pinned by the state-dump test ("policy=1P-M ...").
-    std::snprintf(line, sizeof(line),
-                  "SpotCheck controller @ %s | policy=%s mechanism=%s %s\n",
-                  FormatTime(sim_->Now()).c_str(),
-                  std::string(MappingPolicyName(config_.mapping)).c_str(),
-                  std::string(MigrationMechanismName(config_.mechanism)).c_str(),
-                  config_.bidding.ToString().c_str());
-  }
+  std::snprintf(line, sizeof(line),
+                "SpotCheck controller @ %s | policy=%s mechanism=%s bid=%s\n",
+                FormatTime(sim_->Now()).c_str(),
+                policy_spec_.map.ToString().c_str(),
+                std::string(MigrationMechanismName(config_.mechanism)).c_str(),
+                policy_spec_.bid.ToString().c_str());
   out += line;
   std::snprintf(line, sizeof(line),
                 "vms=%zu hosts=%zu backups=%d revocations=%lld repatriations=%lld"

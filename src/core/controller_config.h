@@ -11,8 +11,7 @@
 #include <optional>
 
 #include "src/backup/backup_pool.h"
-#include "src/core/bidding_policy.h"
-#include "src/core/mapping_policy.h"
+#include "src/core/legacy_policy.h"
 #include "src/market/instance_types.h"
 #include "src/market/revocation_predictor.h"
 #include "src/obs/metrics.h"
@@ -25,16 +24,15 @@ namespace spotcheck {
 class EventCostProfiler;
 
 struct ControllerConfig {
-  MappingPolicyKind mapping = MappingPolicyKind::k1PM;
-  MigrationMechanism mechanism = MigrationMechanism::kSpotCheckLazyRestore;
-  BiddingPolicy bidding = BiddingPolicy::OnDemand();
-  // Strategy-layer policy selection (DESIGN.md section 15). When set, it
-  // overrides `mapping` and `bidding` wholesale: the controller instantiates
-  // both strategies from this spec via the PolicyRegistry. When unset, the
-  // legacy enums above are translated to the equivalent spec -- existing
-  // configs behave bit-identically. Specs from user input should come
-  // through PolicySpec::Parse so they are registry-validated.
+  // The bidding and pool-selection strategies, instantiated through the
+  // PolicyRegistry (DESIGN.md section 15). Specs from user input should come
+  // through PolicySpec::Parse so they are registry-validated. When unset,
+  // the legacy `mapping` / `bidding` fields below are translated instead
+  // (legacy_policy.h: only the benchmark runner still sets them).
   std::optional<PolicySpec> policy_spec;
+  MappingPolicyKind mapping = MappingPolicyKind::k1PM;
+  BiddingPolicy bidding = BiddingPolicy::OnDemand();
+  MigrationMechanism mechanism = MigrationMechanism::kSpotCheckLazyRestore;
   // The server type customers request (the paper's default: the smallest
   // HVM-capable type).
   InstanceType nested_type = InstanceType::kM3Medium;

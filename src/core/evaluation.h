@@ -23,14 +23,13 @@
 namespace spotcheck {
 
 struct EvaluationConfig {
-  MappingPolicyKind policy = MappingPolicyKind::k1PM;
-  MigrationMechanism mechanism = MigrationMechanism::kSpotCheckLazyRestore;
-  BiddingPolicy bidding = BiddingPolicy::OnDemand();
-  // Strategy-layer override: when set, `policy` and `bidding` above are
-  // ignored and both strategies come from this spec (see ControllerConfig::
-  // policy_spec). Enables the new families ("index-track", "adaptive") that
-  // have no legacy enum value.
+  // The policy the cell runs (see ControllerConfig::policy_spec). When
+  // unset, the legacy `policy` / `bidding` fields below are translated
+  // instead (legacy_policy.h: only the benchmark runner still sets them).
   std::optional<PolicySpec> policy_spec;
+  MappingPolicyKind policy = MappingPolicyKind::k1PM;
+  BiddingPolicy bidding = BiddingPolicy::OnDemand();
+  MigrationMechanism mechanism = MigrationMechanism::kSpotCheckLazyRestore;
   bool proactive = false;
   int hot_spares = 0;
   bool use_staging = false;
@@ -83,8 +82,8 @@ struct EvaluationConfig {
   bool collect_timeseries = false;
   // Recorder knobs (sim-time sampling interval, ring capacity).
   TimeSeriesConfig timeseries;
-  // RunReport label; defaults to "<policy>/<mechanism>" when empty (with the
-  // policy spec string standing in for <policy> when policy_spec is set).
+  // RunReport label; defaults to "<resolved policy spec>/<mechanism>" when
+  // empty.
   std::string report_label;
 };
 

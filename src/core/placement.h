@@ -63,8 +63,7 @@ class PlacementEngine {
  private:
   ControllerContext* ctx_;
   // The pool-selection strategy resolved from the controller's PolicySpec
-  // (registry-created; the legacy MappingPolicyKind maps 1:1 onto builtin
-  // strategy names, so enum configs behave bit-identically).
+  // (registry-created; see policy_bridge.h).
   std::unique_ptr<PoolSelectionStrategy> pool_;
   // Open "placement.place" spans: PlaceVm -> first successful attach.
   // Empty when tracing is off.

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 namespace spotcheck {
+namespace {
 
 StrategySpec BidSpecFromLegacy(const BiddingPolicy& bidding) {
   if (bidding.kind == BidPolicyKind::kMultipleOfOnDemand) {
@@ -32,14 +33,15 @@ StrategySpec MapSpecFromLegacy(MappingPolicyKind kind) {
   return StrategySpec{"1p-m", {}};
 }
 
-PolicySpec ResolvedPolicySpec(const ControllerConfig& config) {
-  if (config.policy_spec.has_value()) {
-    return *config.policy_spec;
+}  // namespace
+
+PolicySpec ResolvedPolicySpec(const std::optional<PolicySpec>& spec,
+                              MappingPolicyKind mapping,
+                              const BiddingPolicy& bidding) {
+  if (spec.has_value()) {
+    return *spec;
   }
-  PolicySpec spec;
-  spec.bid = BidSpecFromLegacy(config.bidding);
-  spec.map = MapSpecFromLegacy(config.mapping);
-  return spec;
+  return PolicySpec{BidSpecFromLegacy(bidding), MapSpecFromLegacy(mapping)};
 }
 
 std::unique_ptr<BidStrategy> CreateBidStrategyOrDie(const StrategySpec& spec) {

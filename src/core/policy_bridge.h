@@ -1,31 +1,31 @@
-// Bridge between the legacy enum-based policy configuration and the
-// src/policy strategy layer.
+// Bridge between the controller's configuration and the src/policy strategy
+// layer.
 //
-// ControllerConfig/EvaluationConfig still carry MappingPolicyKind /
-// BiddingPolicy for every existing caller; the controller resolves them --
-// or an explicit ControllerConfig::policy_spec, which wins -- into one
-// PolicySpec and instantiates the strategies through the registry. The
-// legacy enums map onto registry names 1:1, so a config expressed either way
-// produces the same strategy objects (and bit-identical simulations).
+// The controller runs one PolicySpec: ControllerConfig::policy_spec when
+// set, else the legacy enum fields (legacy_policy.h; only the benchmark
+// runner still sets them) translated onto registry names 1:1, so a config
+// expressed either way produces the same strategy objects and bit-identical
+// simulations.
 
 #ifndef SRC_CORE_POLICY_BRIDGE_H_
 #define SRC_CORE_POLICY_BRIDGE_H_
 
 #include <memory>
+#include <optional>
 
 #include "src/core/controller_config.h"
 #include "src/policy/registry.h"
 
 namespace spotcheck {
 
-// "on-demand" or "multiple:k".
-StrategySpec BidSpecFromLegacy(const BiddingPolicy& bidding);
-// "1p-m" / "2p-ml" / "4p-ed" / "4p-cost" / "4p-st" / "greedy" / "stable".
-StrategySpec MapSpecFromLegacy(MappingPolicyKind kind);
+// `spec` when set, else `mapping` / `bidding` translated.
+PolicySpec ResolvedPolicySpec(const std::optional<PolicySpec>& spec,
+                              MappingPolicyKind mapping,
+                              const BiddingPolicy& bidding);
 
-// The spec the controller runs: config.policy_spec when set, else the legacy
-// enums translated.
-PolicySpec ResolvedPolicySpec(const ControllerConfig& config);
+inline PolicySpec ResolvedPolicySpec(const ControllerConfig& config) {
+  return ResolvedPolicySpec(config.policy_spec, config.mapping, config.bidding);
+}
 
 // Registry instantiation for pre-validated specs; prints the error and
 // aborts on failure (a spec that reached the controller has either passed

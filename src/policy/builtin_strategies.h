@@ -39,8 +39,8 @@
 
 namespace spotcheck {
 
-// on-demand / multiple:k -- the paper's two fixed bids. Replicates the old
-// BiddingPolicy arithmetic exactly.
+// on-demand / multiple:k -- the paper's two fixed bids (Section 4.3): bid
+// the on-demand price, or k times it.
 class FixedBidStrategy : public BidStrategy {
  public:
   FixedBidStrategy(StrategySpec spec, bool multiple, double k)

@@ -135,6 +135,15 @@ std::optional<PolicySpec> PolicySpec::Parse(std::string_view text,
   return spec;
 }
 
+const PaperPolicy* FindPaperPolicy(std::string_view label) {
+  for (const PaperPolicy& policy : kPaperPolicies) {
+    if (label == policy.label) {
+      return &policy;
+    }
+  }
+  return nullptr;
+}
+
 PolicySpec ParsePolicySpecOrExit(const std::string& text) {
   std::string error;
   const std::optional<PolicySpec> spec = PolicySpec::Parse(text, &error);

@@ -13,14 +13,15 @@
 // PolicyRegistry, so a spec that parses is a spec that instantiates. Specs
 // round-trip: Parse(spec.ToString()) == spec.
 //
-// The spec layer is how benches/CLI/configs talk about strategies without
-// the enum plumbing the old BidPolicyKind/MappingPolicyKind required; see
-// DESIGN.md section 15.
+// The spec layer is how benches, examples, tests and the CLI name
+// strategies; see DESIGN.md section 15.
 
 #ifndef SRC_POLICY_POLICY_SPEC_H_
 #define SRC_POLICY_POLICY_SPEC_H_
 
+#include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,6 +60,32 @@ struct PolicySpec {
 // error plus the registered strategy names to stderr and exits 2 (the same
 // loud-failure contract as the strict FlagParser).
 PolicySpec ParsePolicySpecOrExit(const std::string& text);
+
+// One of the paper's named policies: its display label and its spec.
+struct PaperPolicy {
+  const char* label;
+  const char* spec;
+};
+
+// The paper's seven placement policies, each with the on-demand bid: Table
+// 2's five in the paper's plot order, then Section 4.2's two allocation
+// strategies. Figure, table and CLI rows take their labels from here.
+inline constexpr std::array<PaperPolicy, 7> kPaperPolicies = {{
+    {"1P-M", "bid=on-demand,map=1p-m"},
+    {"2P-ML", "bid=on-demand,map=2p-ml"},
+    {"4P-ED", "bid=on-demand,map=4p-ed"},
+    {"4P-COST", "bid=on-demand,map=4p-cost"},
+    {"4P-ST", "bid=on-demand,map=4p-st"},
+    {"GREEDY", "bid=on-demand,map=greedy"},
+    {"STABLE", "bid=on-demand,map=stable"},
+}};
+
+// Table 2's five evaluated policies (the figure benches' rows).
+inline constexpr std::span<const PaperPolicy, 5> kTable2Policies =
+    std::span(kPaperPolicies).first<5>();
+
+// The paper policy labelled `label` ("4P-ED"), or null.
+const PaperPolicy* FindPaperPolicy(std::string_view label);
 
 }  // namespace spotcheck
 

@@ -1,8 +1,8 @@
 // Strategy interfaces for the pluggable policy layer (DESIGN.md section 15).
 //
-// The controller used to thread two enums (BidPolicyKind, MappingPolicyKind)
-// through five layers; every new policy meant another case in every switch.
-// This module replaces the enums with two small interfaces:
+// The controller used to thread a bid enum and a mapping enum through five
+// layers; every new policy meant another case in every switch. This module
+// replaces the enums with two small interfaces:
 //
 //   * BidStrategy -- what to bid per instance type, when proactive migration
 //     makes sense, and (for adaptive strategies) how to react to observed

@@ -117,7 +117,7 @@ TEST_F(LifecycleRegressionTest, DrainRepatriationChurnKeepsWaitlistsClean) {
   // waitlist entries for the same VMs; the invariant checker now rejects
   // any duplicate, so stepping through the churn is the regression test.
   ControllerConfig config;
-  config.bidding = BiddingPolicy::Multiple(2.0);
+  config.policy_spec = ParsePolicySpecOrExit("bid=multiple:2,map=1p-m");
   config.enable_proactive = true;
   PriceTrace trace;
   double t = 0.0;
@@ -159,7 +159,7 @@ TEST_F(LifecycleRegressionTest, RepatriationSurvivesCapacityRaces) {
   // requeue losers instead of over-committing hosts (the old code ignored
   // the return value and corrupted capacity accounting).
   ControllerConfig config;
-  config.mapping = MappingPolicyKind::k1PM;
+  config.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=1p-m");
   PriceTrace trace;
   trace.Append(SimTime(), 0.008);
   trace.Append(SimTime::FromSeconds(10000), 0.50);

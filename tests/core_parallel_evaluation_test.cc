@@ -15,13 +15,13 @@ namespace {
 
 std::vector<EvaluationConfig> SmallGrid() {
   std::vector<EvaluationConfig> configs;
-  for (MappingPolicyKind policy :
-       {MappingPolicyKind::k1PM, MappingPolicyKind::k4PED}) {
+  for (const char* spec :
+       {"bid=on-demand,map=1p-m", "bid=on-demand,map=4p-ed"}) {
     for (MigrationMechanism mechanism :
          {MigrationMechanism::kSpotCheckFullRestore,
           MigrationMechanism::kSpotCheckLazyRestore}) {
       EvaluationConfig config;
-      config.policy = policy;
+      config.policy_spec = ParsePolicySpecOrExit(spec);
       config.mechanism = mechanism;
       config.num_vms = 12;
       config.horizon = SimDuration::Days(45);

@@ -59,7 +59,7 @@ TEST_F(PoolDynamicsTest, ConcurrentPlacementsShareSlicedHosts) {
   // Eight m3.medium requests placed into the m3.large pool at once must
   // land on four two-slot hosts, not eight single-occupancy ones.
   ControllerConfig config;
-  config.mapping = MappingPolicyKind::kGreedyCheapest;
+  config.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=greedy");
   Build(config, Flat(0.0200), Flat(0.0110));  // large wins per-slot
   for (int i = 0; i < 8; ++i) {
     controller_->RequestServer(customer_);
@@ -99,7 +99,7 @@ TEST_F(PoolDynamicsTest, ShortSpikeDuringDrainDoesNotStrandVms) {
   medium.Append(SimTime::FromSeconds(12000), 0.008);
   medium.Append(SimTime::FromSeconds(15000), 0.008);
   ControllerConfig config;
-  config.bidding = BiddingPolicy::Multiple(2.0);
+  config.policy_spec = ParsePolicySpecOrExit("bid=multiple:2,map=1p-m");
   config.enable_proactive = true;
   Build(config, std::move(medium), Flat(0.011));
   const NestedVmId vm = controller_->RequestServer(customer_);
@@ -113,7 +113,7 @@ TEST_F(PoolDynamicsTest, ShortSpikeDuringDrainDoesNotStrandVms) {
 TEST_F(PoolDynamicsTest, RepatriationConsolidatesOntoSlicedHosts) {
   // After a storm, VMs returning to a sliced pool must share hosts again.
   ControllerConfig config;
-  config.mapping = MappingPolicyKind::kGreedyCheapest;
+  config.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=greedy");
   PriceTrace large;
   large.Append(SimTime(), 0.011);
   large.Append(SimTime::FromSeconds(10000), 0.50);
@@ -141,7 +141,7 @@ TEST_F(PoolDynamicsTest, StagingNeverPicksASpikingPool) {
   large.Append(SimTime::FromSeconds(9990), 0.90);
   large.Append(SimTime::FromSeconds(20000), 0.011);
   ControllerConfig config;
-  config.mapping = MappingPolicyKind::k2PML;
+  config.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=2p-ml");
   config.use_staging = true;
   Build(config, std::move(medium), std::move(large));
   for (int i = 0; i < 4; ++i) {

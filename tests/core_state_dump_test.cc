@@ -23,7 +23,7 @@ TEST(StateDumpTest, ContainsVmsHostsAndCounters) {
   sim.RunUntil(SimTime::FromSeconds(600));
 
   const std::string dump = controller.DumpState();
-  EXPECT_NE(dump.find("policy=1P-M"), std::string::npos);
+  EXPECT_NE(dump.find("policy=1p-m"), std::string::npos);
   EXPECT_NE(dump.find("mechanism=spotcheck-lazy-restore"), std::string::npos);
   EXPECT_NE(dump.find(vm.ToString()), std::string::npos);
   EXPECT_NE(dump.find("m3.medium@zone-0"), std::string::npos);

@@ -36,14 +36,17 @@ const char* const kGoldenPath =
     SPOTCHECK_TEST_DATA_DIR "/golden/evaluation_cells.golden";
 
 // Mirrors bench/grid_util.h GridConfig (the cell shape behind Figures 10-12
-// and Table 3): 40 VMs, 180 days, seed 2, chaos off.
-EvaluationConfig Cell(MappingPolicyKind policy, MigrationMechanism mechanism) {
+// and Table 3): 40 VMs, 180 days, seed 2, chaos off. The cell's fixture
+// name, "<label>/<mechanism>", rides in the behavior-free report_label.
+EvaluationConfig Cell(const PaperPolicy& policy, MigrationMechanism mechanism) {
   EvaluationConfig config;
-  config.policy = policy;
+  config.policy_spec = ParsePolicySpecOrExit(policy.spec);
   config.mechanism = mechanism;
   config.num_vms = 40;
   config.horizon = SimDuration::Days(180);
   config.seed = 2;
+  config.report_label = std::string(policy.label) + "/" +
+                        std::string(MigrationMechanismName(mechanism));
   return config;
 }
 
@@ -52,21 +55,17 @@ EvaluationConfig Cell(MappingPolicyKind policy, MigrationMechanism mechanism) {
 // and the no-backup path, and one strategy-layer cell (adaptive rebidder on
 // the index-tracking allocator) pinning the new families' numbers.
 std::vector<EvaluationConfig> GoldenCells() {
+  // A strategy-layer cell has no paper label: its spec names it.
+  constexpr PaperPolicy kAdaptiveIndex = {"bid=adaptive:2,map=index-track",
+                                          "bid=adaptive:2,map=index-track"};
   EvaluationConfig strategy_cell =
-      Cell(MappingPolicyKind::k1PM, MigrationMechanism::kSpotCheckLazyRestore);
-  strategy_cell.policy_spec =
-      ParsePolicySpecOrExit("bid=adaptive:2,map=index-track");
+      Cell(kAdaptiveIndex, MigrationMechanism::kSpotCheckLazyRestore);
   strategy_cell.proactive = true;
-  return {Cell(MappingPolicyKind::k1PM, MigrationMechanism::kSpotCheckLazyRestore),
-          Cell(MappingPolicyKind::k4PCost, MigrationMechanism::kXenLiveMigration),
+  return {Cell(*FindPaperPolicy("1P-M"),
+               MigrationMechanism::kSpotCheckLazyRestore),
+          Cell(*FindPaperPolicy("4P-COST"),
+               MigrationMechanism::kXenLiveMigration),
           strategy_cell};
-}
-
-std::string CellName(const EvaluationConfig& config) {
-  const std::string policy = config.policy_spec.has_value()
-                                 ? config.policy_spec->ToString()
-                                 : std::string(MappingPolicyName(config.policy));
-  return policy + "/" + std::string(MigrationMechanismName(config.mechanism));
 }
 
 std::string Num(double value) {
@@ -81,7 +80,7 @@ std::string Num(double value) {
 std::string Serialize(const EvaluationConfig& config,
                       const EvaluationResult& r) {
   std::ostringstream out;
-  out << CellName(config) << ';'
+  out << config.report_label << ';'
       << "avg_cost_per_vm_hour=" << Num(r.avg_cost_per_vm_hour) << ';'
       << "unavailability_pct=" << Num(r.unavailability_pct) << ';'
       << "degradation_pct=" << Num(r.degradation_pct) << ';'
@@ -139,7 +138,7 @@ TEST(DeterminismGoldenTest, GridIsBitIdenticalAcrossJobCounts) {
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(Serialize(configs[i], serial[i]),
               Serialize(configs[i], parallel[i]))
-        << "cell " << CellName(configs[i]) << " depends on --jobs";
+        << "cell " << configs[i].report_label << " depends on --jobs";
   }
 }
 
@@ -165,10 +164,10 @@ TEST(DeterminismGoldenTest, TracingIsBehaviorFreeAtAnyJobCount) {
   ASSERT_EQ(off.size(), on.size());
   for (size_t i = 0; i < off.size(); ++i) {
     EXPECT_EQ(Serialize(baseline[i], off[i]), Serialize(baseline[i], on[i]))
-        << "cell " << CellName(baseline[i]) << " perturbed by tracing";
+        << "cell " << baseline[i].report_label << " perturbed by tracing";
     EXPECT_EQ(Serialize(baseline[i], off[i]),
               Serialize(baseline[i], null_obs[i]))
-        << "cell " << CellName(baseline[i]) << " perturbed by observability";
+        << "cell " << baseline[i].report_label << " perturbed by observability";
     ASSERT_NE(on[i].trace, nullptr);
     EXPECT_FALSE(on[i].trace->spans().empty());
     EXPECT_EQ(off[i].trace, nullptr);

@@ -58,7 +58,7 @@ struct PoolHarness {
     ctx.network = &network;
     ctx.connections = &connections;
     ctx.vms = &vms;
-    bid = CreateBidStrategyOrDie(BidSpecFromLegacy(config.bidding));
+    bid = CreateBidStrategyOrDie(ResolvedPolicySpec(config).bid);
     ctx.bid = bid.get();
     pool = std::make_unique<HostPoolManager>(&ctx);
     ctx.pool = pool.get();

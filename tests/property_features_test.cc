@@ -28,7 +28,7 @@ class FeatureMatrixTest : public testing::TestWithParam<FeaturePoint> {
     cloud_config.market_horizon = SimDuration::Days(40);
     cloud_ = std::make_unique<NativeCloud>(&sim_, &markets_, cloud_config);
     ControllerConfig config;
-    config.mapping = MappingPolicyKind::k4PED;
+    config.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=4p-ed");
     config.use_staging = std::get<0>(GetParam());
     config.enable_predictive = std::get<1>(GetParam());
     config.num_zones = std::get<3>(GetParam());

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "src/backup/backup_pool.h"
@@ -56,7 +57,7 @@ struct SchedulerHarness {
     ctx.network = &network;
     ctx.connections = &connections;
     ctx.vms = &vms;
-    SetBidding(config.bidding);
+    SetPolicy("bid=on-demand,map=1p-m");
     pool = std::make_unique<HostPoolManager>(&ctx);
     ctx.pool = pool.get();
     placement = std::make_unique<PlacementEngine>(&ctx);
@@ -75,11 +76,11 @@ struct SchedulerHarness {
     return cloud_config;
   }
 
-  // The facade translates the legacy bidding enum into a BidStrategy once at
+  // The facade instantiates the bid strategy from its resolved spec once at
   // construction; tests that change the bid mid-setup rebuild it the same way.
-  void SetBidding(const BiddingPolicy& bidding) {
-    config.bidding = bidding;
-    bid = CreateBidStrategyOrDie(BidSpecFromLegacy(bidding));
+  void SetPolicy(const std::string& spec) {
+    config.policy_spec = ParsePolicySpecOrExit(spec);
+    bid = CreateBidStrategyOrDie(config.policy_spec->bid);
     ctx.bid = bid.get();
   }
 
@@ -255,7 +256,7 @@ TEST(RepatriationSchedulerTest, MarketWatcherGatesRepatriationOnPrice) {
 TEST(RepatriationSchedulerTest, ProactiveDrainMovesVmsOffRiskyPool) {
   SchedulerHarness h;
   h.config.enable_proactive = true;
-  h.SetBidding(BiddingPolicy::Multiple(4.0));
+  h.SetPolicy("bid=multiple:4,map=1p-m");
   HostVm* spot_host = h.LaunchHost(kHomePool, /*is_spot=*/true);
   NestedVm& vm = h.NewVm();
   h.Settle(vm, *spot_host);

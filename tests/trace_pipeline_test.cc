@@ -33,7 +33,7 @@ using testjson::ParseJson;
 
 EvaluationConfig PipelineConfig() {
   EvaluationConfig config;
-  config.policy = MappingPolicyKind::k1PM;
+  config.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=1p-m");
   config.mechanism = MigrationMechanism::kSpotCheckLazyRestore;
   config.num_vms = 16;
   config.horizon = SimDuration::Days(20);
@@ -343,7 +343,7 @@ TEST(TracePipelineTest, GridWorkerTraceCoversEveryCell) {
   std::vector<EvaluationConfig> configs;
   for (int i = 0; i < 4; ++i) {
     EvaluationConfig config;
-    config.policy = MappingPolicyKind::k1PM;
+    config.policy_spec = ParsePolicySpecOrExit("bid=on-demand,map=1p-m");
     config.mechanism = i % 2 == 0 ? MigrationMechanism::kSpotCheckLazyRestore
                                   : MigrationMechanism::kSpotCheckFullRestore;
     config.num_vms = 4;
