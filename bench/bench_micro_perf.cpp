@@ -51,6 +51,28 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1'000)->Arg(100'000);
 
+// The revocation-storm shape: N events pending in one calendar bucket, and
+// every pop schedules a child 250 ms out -- deep inside the same bucket,
+// behind about N/2 pending events -- as evacuation timers and re-arms do.
+void BM_SimulatorCrowdedBucketChurn(benchmark::State& state) {
+  const int64_t events = state.range(0);
+  // The initial bucket width is 2^20 us; [5, 6) * 2^20 us is one bucket.
+  const int64_t base_us = int64_t{5} << 20;
+  const int64_t spacing_us = 500'000 / events;
+  for (auto _ : state) {
+    Simulator sim;
+    for (int64_t i = 0; i < events; ++i) {
+      const int64_t slot = i * 7919 % events;  // scrambled pre-load order
+      sim.ScheduleAt(SimTime::FromMicros(base_us + slot * spacing_us), [&sim] {
+        sim.ScheduleAfter(SimDuration::Millis(250), [] {});
+      });
+    }
+    benchmark::DoNotOptimize(sim.Run());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * events);
+}
+BENCHMARK(BM_SimulatorCrowdedBucketChurn)->Arg(1'000)->Arg(4'000);
+
 void BM_PriceTraceGeneration(benchmark::State& state) {
   const SimDuration horizon = SimDuration::Days(state.range(0));
   int zone = 0;

@@ -48,7 +48,8 @@ enum class ProfileCategory : uint8_t {
   kDispatchPeriodic,     // periodic tick
   kLadderMerge,          // SortTail: overflow-ladder tail merge
   kCalendarWrap,         // Wrap(): window advance + ladder drain + retune
-  kLazyBucketSort,       // FindEarliest: first-touch bucket sort
+  kLazyBucketSort,       // FindEarliest: first-touch sort of an unsorted
+                         // bucket (never a heap-ordered active bucket)
   kPoolCapacityIndex,    // capacity index maintenance in host_pool
   kPoolPlaceableIndex,   // placeable-subindex refresh in host_pool
   kPoolPendingJoin,      // pending/joinable bookkeeping in host_pool
@@ -62,8 +63,10 @@ std::string_view ProfileCategoryName(ProfileCategory c);
 enum class ProfileStat : uint8_t {
   kOverflowSpills = 0,   // events appended beyond the calendar window
   kRingInserts,          // events inserted into the bucket ring
-  kBucketDegrades,       // sorted-bucket inserts demoted to unsorted append
-  kLazySortedEvents,     // events sorted by first-touch bucket sorts
+  kBucketDegrades,       // deep inserts into a sorted bucket: an inactive
+                         // bucket turns unsorted, the active one a heap
+  kLazySortedEvents,     // events sorted by first-touch bucket sorts (a
+                         // heap-ordered active bucket is never re-sorted)
   kLadderMergedEvents,   // tail events merged into the sorted ladder
   kLadderFallbackSorts,  // SortTail calls that fell back to std::sort
   kCalendarRetunes,      // bucket-width changes at Wrap()

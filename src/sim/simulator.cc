@@ -24,9 +24,14 @@ namespace spotcheck {
 //       ring is non-empty, so pop never compares against the ladder.
 //   I3  No queued ring event has abs < scan_abs_ (inserts move scan_abs_
 //       backward; pops advance it over empty buckets).
-//   I4  A bucket with bucket_sorted_ set is sorted descending by
-//       (when, seq); the scan sorts a bucket on first contact and inserts
-//       keep sorted buckets sorted, so the active bucket pops from back().
+//   I4  bucket_state_ names each bucket's layout. A kSortedDesc bucket is
+//       sorted descending by (when, seq) and pops from back(); the scan
+//       sorts a kUnsorted bucket on first contact, and shallow inserts keep
+//       sorted buckets sorted. A kHeap bucket is a binary min-heap on
+//       (when, seq) (std heap under Later) and pops from front(); only the
+//       active bucket (active_abs_, the one FindEarliest last returned)
+//       becomes a heap, on its first deep insert. A bucket returns to
+//       kSortedDesc when it drains.
 //   I5  overflow_[0 .. overflow_sorted_n_) is sorted descending; the tail
 //       is unsorted appends. overflow_min_ is the ladder minimum whenever
 //       the ladder is non-empty.
@@ -38,10 +43,11 @@ Simulator::Simulator(MetricsRegistry* metrics, SpanTracer* tracer,
                      std::pmr::memory_resource* memory)
     : memory_(memory != nullptr ? memory : std::pmr::get_default_resource()),
       buckets_(static_cast<size_t>(kNumBuckets), memory_),
-      bucket_sorted_(static_cast<size_t>(kNumBuckets), 1),
+      bucket_state_(static_cast<size_t>(kNumBuckets), kSortedDesc, memory_),
       overflow_(memory_),
       slots_(memory_),
       free_slots_(memory_),
+      streams_(memory_),
       tracer_(tracer) {
   if (metrics != nullptr) {
     events_scheduled_metric_ = &metrics->Counter("sim.events_scheduled");
@@ -97,15 +103,17 @@ void Simulator::OverflowAppend(const QueuedEvent& ev) {
 // a RunUntil deadline and something scheduled into the gap). Slide the
 // window start back to `abs`; bucket positions (abs & mask) do not depend
 // on ring_base_abs_, so surviving events stay put and only events now
-// beyond the shortened window move to the ladder.
+// beyond the shortened window move to the ladder. Erasing keeps a sorted
+// bucket sorted but breaks a heap, which is then re-sorted on contact.
 void Simulator::RebaseRingTo(int64_t abs) {
   const int64_t new_end = abs + kNumBuckets;
   if (ring_count_ > 0) {
-    for (Bucket& bucket : buckets_) {
+    for (size_t index = 0; index < buckets_.size(); ++index) {
+      Bucket& bucket = buckets_[index];
       if (bucket.empty()) {
         continue;
       }
-      std::erase_if(bucket, [&](const QueuedEvent& ev) {
+      const size_t erased = std::erase_if(bucket, [&](const QueuedEvent& ev) {
         if (BucketAbs(ev.when) >= new_end) {
           OverflowAppend(ev);
           --ring_count_;
@@ -113,6 +121,9 @@ void Simulator::RebaseRingTo(int64_t abs) {
         }
         return false;
       });
+      if (erased > 0 && bucket_state_[index] == kHeap) {
+        bucket_state_[index] = kUnsorted;
+      }
     }
   }
   ring_base_abs_ = abs;
@@ -137,25 +148,36 @@ void Simulator::InsertEvent(const QueuedEvent& ev) {
   }
   const size_t index = static_cast<size_t>(abs & kBucketMask);
   Bucket& bucket = buckets_[index];
-  if (bucket_sorted_[index]) {
+  uint8_t& state = bucket_state_[index];
+  if (state == kSortedDesc) {
     // Keep a sorted bucket sorted (I4) only while that is cheap: insertion
     // cost is the number of tail elements shifted, so bound it. Imminent
-    // events (the cascade-at-now pattern) sit near the back and stay O(1);
-    // anything deeper -- e.g. bulk pre-loading a crowded bucket, which
-    // would otherwise go quadratic -- degrades the bucket to unsorted and
-    // is re-sorted once when the scan reaches it.
-    const auto pos = std::lower_bound(
-        bucket.begin(), bucket.end(), ev,
-        [](const QueuedEvent& a, const QueuedEvent& b) { return Earlier(b, a); });
+    // events (the cascade-at-now pattern) sit near the back and stay O(1).
+    // Anything deeper changes the layout. An inactive bucket -- e.g. one
+    // being bulk pre-loaded, which would otherwise go quadratic -- degrades
+    // to unsorted and is sorted once when the scan reaches it. The active
+    // bucket would be re-sorted on the very next pop, once per deep insert,
+    // so it becomes a heap instead: reversed, the descending array is
+    // ascending, which is already a valid min-heap.
+    const auto pos =
+        std::lower_bound(bucket.begin(), bucket.end(), ev, Later{});
     if (bucket.end() - pos <= 16) {
       bucket.insert(pos, ev);
     } else {
-      bucket.push_back(ev);
-      bucket_sorted_[index] = 0;
       ProfileAdd(profiler_, ProfileStat::kBucketDegrades);
+      if (abs == active_abs_) {
+        std::reverse(bucket.begin(), bucket.end());
+        state = kHeap;
+      } else {
+        state = kUnsorted;
+      }
     }
-  } else {
+  }
+  if (state != kSortedDesc) {
     bucket.push_back(ev);
+    if (state == kHeap) {
+      std::push_heap(bucket.begin(), bucket.end(), Later{});
+    }
   }
   ++ring_count_;
   ProfileAdd(profiler_, ProfileStat::kRingInserts);
@@ -172,24 +194,23 @@ void Simulator::InsertEvent(const QueuedEvent& ev) {
 // when the tail is genuinely unordered. The comparator is a strict total
 // order (seq is unique), so every correct sort yields the same permutation.
 void Simulator::SortTail(OverflowIter first, OverflowIter last,
+                         std::pmr::memory_resource* memory,
                          EventCostProfiler* profiler) {
-  const auto desc = [](const QueuedEvent& a, const QueuedEvent& b) {
-    return Earlier(b, a);
-  };
+  const Later later{};
   const size_t n = static_cast<size_t>(last - first);
   if (n < 256) {
-    std::sort(first, last, desc);
+    std::sort(first, last, later);
     return;
   }
   // Run boundaries: bounds[i]..bounds[i+1] is sorted descending.
-  std::vector<OverflowIter> bounds;
+  std::pmr::vector<OverflowIter> bounds(memory);
   bounds.push_back(first);
   for (OverflowIter it = first; it != last;) {
     OverflowIter run_end = it + 1;
     if (run_end != last) {
-      const bool run_desc = desc(*it, *run_end);
+      const bool run_desc = later(*it, *run_end);
       ++run_end;
-      while (run_end != last && desc(*(run_end - 1), *run_end) == run_desc) {
+      while (run_end != last && later(*(run_end - 1), *run_end) == run_desc) {
         ++run_end;
       }
       if (!run_desc) {
@@ -202,17 +223,17 @@ void Simulator::SortTail(OverflowIter first, OverflowIter last,
       // Too fragmented for merging to win (the reversals above are harmless
       // to re-sort).
       ProfileAdd(profiler, ProfileStat::kLadderFallbackSorts);
-      std::sort(first, last, desc);
+      std::sort(first, last, later);
       return;
     }
   }
   // Merge adjacent run pairs until one remains.
   while (bounds.size() > 2) {
-    std::vector<OverflowIter> next;
+    std::pmr::vector<OverflowIter> next(memory);
     next.push_back(bounds[0]);
     size_t i = 1;
     while (i + 1 < bounds.size()) {
-      std::inplace_merge(next.back(), bounds[i], bounds[i + 1], desc);
+      std::inplace_merge(next.back(), bounds[i], bounds[i + 1], later);
       next.push_back(bounds[i + 1]);
       i += 2;
     }
@@ -231,9 +252,6 @@ void Simulator::Wrap() {
   ProfileScope wrap_scope(profiler_, ProfileCategory::kCalendarWrap);
   const int width_before = width_log2_;
   if (overflow_sorted_n_ < overflow_.size()) {
-    const auto desc = [](const QueuedEvent& a, const QueuedEvent& b) {
-      return Earlier(b, a);
-    };
     const auto mid =
         overflow_.begin() + static_cast<int64_t>(overflow_sorted_n_);
     ProfileAdd(profiler_, ProfileStat::kLadderMergedEvents,
@@ -241,8 +259,8 @@ void Simulator::Wrap() {
     // kLadderMerge nests inside kCalendarWrap: wrap time includes merge
     // time; the merge category isolates the sort-vs-drain split.
     ProfileScope merge_scope(profiler_, ProfileCategory::kLadderMerge);
-    SortTail(mid, overflow_.end(), profiler_);
-    std::inplace_merge(overflow_.begin(), mid, overflow_.end(), desc);
+    SortTail(mid, overflow_.end(), memory_, profiler_);
+    std::inplace_merge(overflow_.begin(), mid, overflow_.end(), Later{});
     overflow_sorted_n_ = overflow_.size();
   }
 
@@ -276,7 +294,7 @@ void Simulator::Wrap() {
     }
     const size_t index = static_cast<size_t>(abs & kBucketMask);
     buckets_[index].push_back(ev);
-    bucket_sorted_[index] = 0;  // drained ascending; sort lazily on contact
+    bucket_state_[index] = kUnsorted;  // drained ascending; sort on contact
     ++ring_count_;
     overflow_.pop_back();
   }
@@ -301,24 +319,33 @@ const Simulator::QueuedEvent* Simulator::FindEarliest() {
     ++scan_abs_;
     index = static_cast<size_t>(scan_abs_ & kBucketMask);
   }
+  active_abs_ = scan_abs_;
   Bucket& bucket = buckets_[index];
-  if (!bucket_sorted_[index]) {
+  uint8_t& state = bucket_state_[index];
+  if (state == kHeap) {
+    return &bucket.front();
+  }
+  if (state == kUnsorted) {
     ProfileScope sort_scope(profiler_, ProfileCategory::kLazyBucketSort);
     ProfileAdd(profiler_, ProfileStat::kLazySortedEvents,
                static_cast<int64_t>(bucket.size()));
-    std::sort(bucket.begin(), bucket.end(),
-              [](const QueuedEvent& a, const QueuedEvent& b) {
-                return Earlier(b, a);
-              });
-    bucket_sorted_[index] = 1;
+    std::sort(bucket.begin(), bucket.end(), Later{});
+    state = kSortedDesc;
   }
   return &bucket.back();
 }
 
 Simulator::QueuedEvent Simulator::PopEarliest() {
-  Bucket& bucket = buckets_[static_cast<size_t>(scan_abs_ & kBucketMask)];
+  const size_t index = static_cast<size_t>(scan_abs_ & kBucketMask);
+  Bucket& bucket = buckets_[index];
+  if (bucket_state_[index] == kHeap) {
+    std::pop_heap(bucket.begin(), bucket.end(), Later{});  // minimum to back()
+  }
   const QueuedEvent ev = bucket.back();
   bucket.pop_back();
+  if (bucket.empty()) {
+    bucket_state_[index] = kSortedDesc;
+  }
   --ring_count_;
   return ev;
 }

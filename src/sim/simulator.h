@@ -24,6 +24,13 @@
 //     heap. Bucket width is retuned at each wrap from the density of the
 //     upcoming overflow chunk; retuning happens only while the ring is
 //     empty, so no event ever needs remapping.
+//   - Buckets are sorted lazily, once, when the scan first reaches them,
+//     and then pop O(1) from back(). The one exception is a crowded active
+//     bucket (the one being popped) that keeps receiving inserts deep
+//     inside its sorted order, as a revocation storm's evacuation timers
+//     and re-arms do: that bucket turns into a binary min-heap whose
+//     minimum is front(), so each such insert and each pop costs O(log B)
+//     instead of one O(B log B) re-sort per deep insert.
 //   - Pop order is exactly ascending (time, seq) -- identical to the
 //     previous heap -- so results are bit-identical: the calendar layout
 //     affects performance only, never ordering.
@@ -179,6 +186,14 @@ class Simulator {
     }
     return a.seq < b.seq;
   }
+  // The reverse order. Sorted buckets and the ladder are kept descending by
+  // it (minimum at back()); as a heap comparator it makes front() the
+  // minimum. A function object, so std algorithms inline it.
+  struct Later {
+    bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
+      return Earlier(b, a);
+    }
+  };
   // One pooled record per live event (plus a free list of reusable ones).
   // `generation` advances every time the slot is released, invalidating
   // handles issued under earlier generations.
@@ -209,8 +224,10 @@ class Simulator {
   void OverflowAppend(const QueuedEvent& ev);
   using OverflowIter = std::pmr::vector<QueuedEvent>::iterator;
   // Sorts an unsorted ladder tail descending, exploiting pre-sorted runs.
-  // `profiler` (nullable) records fragmented-tail fallbacks to std::sort.
+  // Run-bound scratch allocates from `memory`; `profiler` (nullable)
+  // records fragmented-tail fallbacks to std::sort.
   static void SortTail(OverflowIter first, OverflowIter last,
+                       std::pmr::memory_resource* memory,
                        EventCostProfiler* profiler);
   void RebaseRingTo(int64_t abs);
   void Wrap();
@@ -234,13 +251,20 @@ class Simulator {
 
   // --- calendar ring ---
   std::pmr::vector<Bucket> buckets_;  // bucket for abs index a: a & kBucketMask
-  // Per-bucket "sorted descending by (when, seq)" flag; buckets fill
-  // unsorted and are sorted lazily when the scan reaches them, after which
-  // inserts keep them sorted (pop is then back()).
-  std::vector<uint8_t> bucket_sorted_;
+  // Per-bucket layout (I4). Buckets fill unsorted and are sorted lazily
+  // when the scan reaches them, after which shallow inserts keep them
+  // sorted (pop is then back()). A deep insert demotes a bucket to
+  // unsorted, except in the active bucket, which becomes a heap instead.
+  enum BucketState : uint8_t {
+    kUnsorted = 0,
+    kSortedDesc,  // sorted descending by (when, seq); minimum at back()
+    kHeap,        // binary min-heap on (when, seq); minimum at front()
+  };
+  std::pmr::vector<uint8_t> bucket_state_;
   int width_log2_ = kInitialWidthLog2;
   int64_t ring_base_abs_ = 0;  // absolute bucket index of the window start
   int64_t scan_abs_ = 0;       // no queued ring event lives below this bucket
+  int64_t active_abs_ = -1;    // bucket FindEarliest last returned (-1: none)
   size_t ring_count_ = 0;      // events in the ring (including cancelled)
 
   // --- overflow ladder ---
@@ -264,7 +288,7 @@ class Simulator {
     StreamFireFn fire = nullptr;
     void* ctx = nullptr;
   };
-  std::vector<ReplayStream> streams_;
+  std::pmr::vector<ReplayStream> streams_;
 
   // Observability instruments; all null when built without a registry.
   MetricCounter* events_scheduled_metric_ = nullptr;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/obs/profiler.h"
 #include "src/sim/simulator.h"
 
 namespace spotcheck {
@@ -111,7 +112,7 @@ int64_t ChildOffsetUs(int id) {
     case 1:
       return 40'000 + (id % 977) * 1'000;  // tens of milliseconds
     default:
-      return int64_t{3} * 86'400'000'000 + id * 1'000'000;  // days out
+      return int64_t{3} * 86'400'000'000 + int64_t{id} * 1'000'000;  // days out
   }
 }
 
@@ -243,6 +244,176 @@ TEST(CalendarQueueStressTest, FifoPreservedAcrossOverflowAndRing) {
   for (int i = 0; i < 128; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i) << "position " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Crowded active bucket: the revocation-storm shape.
+// ---------------------------------------------------------------------------
+
+// Drives a Simulator and the ReferenceScheduler through one script and
+// requires identical fire logs after every RunUntil. Events scheduled while
+// the spawn window is open (id < spawn_below) spawn one child when they
+// fire, at a pure-function-of-id offset up to 120 ms out: deep inside a
+// crowded active bucket, or at Now() itself (FIFO behind same-time peers).
+class Lockstep {
+ public:
+  static int64_t ChildOffsetUs(int id) { return (id % 7) * 20'000; }
+
+  explicit Lockstep(Simulator& sim) : sim_(sim) {}
+
+  // Schedules one event on both sides; returns its script index.
+  size_t Schedule(int64_t when_us) {
+    const int id = sim_next_id_++;
+    ++ref_next_id_;
+    sim_handles_.push_back(sim_.ScheduleAt(SimTime::FromMicros(when_us),
+                                           [this, id] { SimFire(id); }));
+    ref_handles_.push_back(ref_.Schedule(when_us, id));
+    return sim_handles_.size() - 1;
+  }
+  void Cancel(size_t index) {
+    sim_.Cancel(sim_handles_[index]);
+    ref_.Cancel(ref_handles_[index]);
+  }
+  // Opens the spawn window for every event scheduled so far.
+  void SpawnFromAllScheduled() { spawn_below_ = sim_next_id_; }
+  size_t scheduled() const { return sim_handles_.size(); }
+  int64_t now_us() const { return sim_.Now().micros(); }
+
+  void RunUntil(int64_t deadline_us) {
+    sim_.RunUntil(SimTime::FromMicros(deadline_us));
+    ref_.RunUntil(deadline_us, [this](int id) { RefFire(id); });
+    ASSERT_EQ(sim_.Now().micros(), ref_.now_us());
+    ASSERT_EQ(sim_fired_, ref_.fired());
+    ASSERT_EQ(sim_next_id_, ref_next_id_);
+  }
+  // Runs both sides 100 days ahead, which empties every queue this script
+  // builds.
+  void Drain() {
+    RunUntil(now_us() + 100 * 86'400'000'000);
+    ASSERT_TRUE(sim_.empty());
+  }
+
+ private:
+  bool Spawns(int id) const { return id < spawn_below_ && id % 3 == 0; }
+  void SimFire(int id) {
+    sim_fired_.push_back(id);
+    if (Spawns(id)) {
+      const int child = sim_next_id_++;
+      sim_handles_.push_back(sim_.ScheduleAt(
+          sim_.Now() + SimDuration::Micros(ChildOffsetUs(id)),
+          [this, child] { SimFire(child); }));
+    }
+  }
+  void RefFire(int id) {
+    if (Spawns(id)) {
+      const int child = ref_next_id_++;
+      ref_handles_.push_back(ref_.Schedule(ref_.now_us() + ChildOffsetUs(id),
+                                           child));
+    }
+  }
+
+  Simulator& sim_;
+  ReferenceScheduler ref_;
+  std::vector<int> sim_fired_;
+  std::vector<EventHandle> sim_handles_;
+  std::vector<size_t> ref_handles_;
+  int sim_next_id_ = 0;
+  int ref_next_id_ = 0;
+  int spawn_below_ = 0;
+};
+
+// Thousands of events in one bucket, popped while children and outside
+// inserts keep landing deep inside it (so the active bucket turns into a
+// heap), with same-timestamp ties, cancellations of still-queued crowd
+// events, and RunUntil rollbacks that rebase the ring while the crowded
+// bucket is a heap -- once keeping it in the window, once flushing it back
+// to the overflow ladder.
+TEST(CalendarQueueStressTest, CrowdedActiveBucketMatchesReference) {
+  std::mt19937_64 rng(20261017);
+  EventCostProfiler profiler;
+  Simulator sim;
+  sim.set_profiler(&profiler);
+  Lockstep both(sim);
+  constexpr int kCrowd = 2400;
+  // 256 distinct timestamps 3 ms apart: ~9 ties per timestamp, and the
+  // whole crowd plus its children spans < 0.9 s.
+  const auto crowd_time = [&](int64_t start_us) {
+    return start_us + static_cast<int64_t>(rng() % 256) * 3'000;
+  };
+
+  // Pops through the crowd in small RunUntil steps; between steps,
+  // schedules a few events deep inside the crowd and cancels a few
+  // still-queued crowd members.
+  const auto churn = [&](size_t crowd_first, int64_t until_us) {
+    while (both.now_us() < until_us) {
+      for (int i = 0; i < 4; ++i) {
+        both.Schedule(both.now_us() +
+                      static_cast<int64_t>(rng() % 100) * 2'000);
+      }
+      for (int i = 0; i < 3; ++i) {
+        both.Cancel(crowd_first + rng() % kCrowd);
+      }
+      both.RunUntil(both.now_us() + 5'000);
+      if (testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+  };
+
+  // Phase 1: a crowd pre-loaded into one bucket of the initial window
+  // (width 2^20 us; bucket 5 starts at 5'242'880 us), which the scan sorts
+  // once on first contact.
+  const int64_t bucket5_us = int64_t{5} << 20;
+  const size_t first1 = both.scheduled();
+  for (int i = 0; i < kCrowd; ++i) {
+    both.Schedule(crowd_time(bucket5_us + 1'000));
+  }
+  both.SpawnFromAllScheduled();
+  both.RunUntil(bucket5_us);
+  ASSERT_NO_FATAL_FAILURE(churn(first1, bucket5_us + 2'000'000));
+  ASSERT_NO_FATAL_FAILURE(both.Drain());
+
+  // Phases 2 and 3 start from an empty queue. The crowd sits `crowd_day`
+  // days out, bucket-aligned, ahead of sparse ladder points (one every 8 h
+  // for 21 days) that retune the bucket width to minutes, so the whole
+  // crowd shares one bucket. RunUntil then peeks past its deadline (a Wrap
+  // moves the window onto the crowd and sorts it) and rolls the clock back;
+  // deep inserts turn the crowd into a heap; and an insert into the gap
+  // before the window forces RebaseRingTo with the heap live. The window
+  // spans ~25 days, so the day-20 crowd stays in the ring and the day-90
+  // crowd is flushed back to the ladder.
+  constexpr int64_t kBucketAlignUs = int64_t{1} << 31;
+  for (const int64_t crowd_day : {20, 90}) {
+    const int64_t start_us =
+        (both.now_us() + crowd_day * 86'400'000'000) / kBucketAlignUs *
+        kBucketAlignUs;
+    const size_t first = both.scheduled();
+    for (int i = 0; i < kCrowd; ++i) {
+      both.Schedule(crowd_time(start_us));
+    }
+    for (int k = 0; k < 64; ++k) {
+      both.Schedule(start_us + 3'600'000'000 + k * 28'800'000'000);
+    }
+    both.SpawnFromAllScheduled();
+    ASSERT_NO_FATAL_FAILURE(both.RunUntil(both.now_us() + 3'600'000'000));
+    for (int i = 0; i < 200; ++i) {
+      both.Schedule(crowd_time(start_us) + 1);  // deep: heap conversion
+    }
+    for (int i = 0; i < 100; ++i) {
+      both.Cancel(first + rng() % kCrowd);  // heap-resident victims
+    }
+    both.Schedule(both.now_us() + 600'000'000);  // into the gap: rebase
+    ASSERT_NO_FATAL_FAILURE(both.RunUntil(start_us));
+    ASSERT_NO_FATAL_FAILURE(churn(first, start_us + 2'000'000));
+    ASSERT_NO_FATAL_FAILURE(both.Drain());
+  }
+
+  // The script reached the paths it exists for: two rollback rebases, and
+  // crowd pops served by the heap rather than by re-sorting the crowded
+  // bucket after every deep insert (which would sort millions of events).
+  EXPECT_GE(profiler.stat(ProfileStat::kRingRebases), 2);
+  EXPECT_LE(profiler.stat(ProfileStat::kLazySortedEvents),
+            2 * static_cast<int64_t>(both.scheduled()));
 }
 
 // A handle from a completed event must never cancel the event that later

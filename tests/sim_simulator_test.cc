@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/obs/profiler.h"
+
 namespace spotcheck {
 namespace {
 
@@ -263,6 +265,46 @@ TEST(SimulatorTest, EventsExecutedCounter) {
   }
   sim.Run();
   EXPECT_EQ(sim.events_executed(), 7);
+}
+
+// A crowded active bucket that keeps receiving inserts deep inside its sorted
+// order -- a revocation storm's evacuation timers and re-arms -- must not be
+// re-sorted once per deep insert. Exact counters, not timings: sorting the
+// whole bucket after every deep insert would sort ~N^2 / 2 events.
+TEST(SimulatorTest, CrowdedActiveBucketChurnSortsEachEventAboutOnce) {
+  EventCostProfiler profiler;
+  Simulator sim;
+  sim.set_profiler(&profiler);
+  // The initial bucket width is 2^20 us, so [5, 6) * 2^20 us is one bucket;
+  // the pre-load lands in it unsorted, and the scan sorts it on contact.
+  constexpr int kCrowd = 2000;
+  const int64_t bucket_us = int64_t{5} << 20;
+  int64_t scheduled = 0;
+  int fired = 0;
+  SimTime last;
+  bool ordered = true;
+  for (int i = 0; i < kCrowd; ++i) {
+    // Pre-load in a scrambled time order, 200 us apart.
+    const int64_t slot = (i * 7919) % kCrowd;
+    sim.ScheduleAt(SimTime::FromMicros(bucket_us + 1'000 + slot * 200), [&] {
+      ordered = ordered && sim.Now() >= last;
+      last = sim.Now();
+      ++fired;
+      // Each crowd pop schedules a child 150 ms out: still in the bucket,
+      // behind ~750 pending crowd events.
+      sim.ScheduleAfter(SimDuration::Millis(150), [&] {
+        ordered = ordered && sim.Now() >= last;
+        last = sim.Now();
+        ++fired;
+      });
+      ++scheduled;
+    });
+    ++scheduled;
+  }
+  sim.Run();
+  EXPECT_EQ(fired, 2 * kCrowd);
+  EXPECT_TRUE(ordered);
+  EXPECT_LE(profiler.stat(ProfileStat::kLazySortedEvents), 2 * scheduled);
 }
 
 }  // namespace
