@@ -42,6 +42,7 @@
 
 #include "src/common/flags.h"
 #include "src/common/memory_probe.h"
+#include "src/common/text_file.h"
 #include "src/core/controller.h"
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
@@ -238,14 +239,10 @@ int Run(int argc, const char* const* argv) {
   }
   json.EndObject();
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
+  if (!WriteTextFile(out_path, json.str())) {
     std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
     return 1;
   }
-  const std::string text = json.str();
-  std::fwrite(text.data(), 1, text.size(), out);
-  std::fclose(out);
   std::fprintf(stderr, "[fleet scale json written to %s]\n", out_path.c_str());
   return ok ? 0 : 1;
 }

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/text_file.h"
 #include "src/core/parallel_evaluation.h"
 #include "src/obs/grid_summary.h"
 #include "src/obs/json.h"
@@ -171,14 +172,10 @@ int Run(int argc, const char* const* argv) {
   }
   json.EndObject();
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
+  if (!WriteTextFile(out_path, json.str())) {
     std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
     return 1;
   }
-  const std::string text = json.str();
-  std::fwrite(text.data(), 1, text.size(), out);
-  std::fclose(out);
   std::fprintf(stderr, "[scaling json written to %s]\n", out_path.c_str());
   return 0;
 }

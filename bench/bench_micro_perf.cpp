@@ -305,5 +305,5 @@ int main(int argc, char** argv) {
   spotcheck::JsonEmitReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  return 0;
+  return reporter.write_failed() ? 1 : 0;
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/text_file.h"
 #include "src/core/parallel_evaluation.h"
 #include "src/obs/json.h"
 #include "src/policy/policy_spec.h"
@@ -134,14 +135,10 @@ int Run(int argc, const char* const* argv) {
   }
   json.EndObject();
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
+  if (!WriteTextFile(out_path, json.str())) {
     std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
     return 1;
   }
-  const std::string text = json.str();
-  std::fwrite(text.data(), 1, text.size(), out);
-  std::fclose(out);
   std::fprintf(stderr, "[frontier json written to %s]\n", out_path.c_str());
   std::printf("\nreading the frontier: INDEX trades a little cost for fewer"
               " revocations by sitting out spiking markets; the adaptive\n"

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <iterator>
+#include <utility>
 
 #include "bench/grid_util.h"
 
@@ -31,31 +32,13 @@ int main(int argc, char** argv) {
         config.market_coupling = 0.5;
         config.shared_events_per_day = 0.1;
       }
-      config.chaos = ChaosConfigForLevel(args.chaos_level, args.chaos_seed);
-      config.collect_trace = !args.trace_dir.empty();
-      config.collect_timeseries = !args.timeseries_dir.empty();
-      config.collect_profile = !args.timeseries_dir.empty();
+      configs.push_back(config);
       cells.push_back(std::string(row.label) +
                       (coupled ? "_coupled" : "_independent"));
-      config.report_label = cells.back();
-      configs.push_back(config);
     }
   }
-  // Like PrintGrid: with --trace-dir the pool profiles itself, and the
-  // contention report lands in grid_summary.json's "contention" section.
-  std::unique_ptr<SpanTracer> worker_tracer;
-  if (!args.trace_dir.empty()) {
-    worker_tracer = std::make_unique<SpanTracer>();
-  }
-  GridRunOptions grid_options;
-  grid_options.jobs = args.jobs;
-  grid_options.worker_tracer = worker_tracer.get();
-  GridContentionReport contention;
-  grid_options.contention = &contention;
   const std::vector<EvaluationResult> results =
-      RunPolicyEvaluationGrid(configs, grid_options);
-  WriteGridArtifacts(args, "table3_storms", cells, results, worker_tracer.get(),
-                     &contention);
+      RunGridBench(args, "table3_storms", std::move(configs), cells);
 
   std::printf("=== Table 3: probability of concurrent revocations (N=40 VMs) ===\n");
   std::printf("%-8s  %12s  %12s  %12s  %12s\n", "pools", "N/4", "N/2", "3N/4", "N");

@@ -5,11 +5,11 @@
 #define BENCH_CSV_OUT_H_
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "src/common/csv.h"
+#include "src/common/text_file.h"
 
 namespace spotcheck {
 
@@ -19,15 +19,13 @@ namespace spotcheck {
 inline void ExportSeriesCsv(const std::string& name,
                             const std::vector<std::string>& header,
                             const std::vector<std::vector<std::string>>& rows) {
-  std::error_code ec;
-  std::filesystem::create_directories("bench_out", ec);
   CsvWriter writer;
   writer.AddRow(header);
   for (const auto& row : rows) {
     writer.AddRow(row);
   }
   const std::string path = "bench_out/" + name + ".csv";
-  if (writer.WriteFile(path)) {
+  if (WriteTextFile(path, writer.ToString())) {
     std::printf("[series written to %s]\n", path.c_str());
   } else {
     std::printf("[could not write %s]\n", path.c_str());

@@ -17,6 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/text_file.h"
+#include "src/obs/json.h"
+
 namespace spotcheck {
 
 class JsonEmitReporter : public benchmark::ConsoleReporter {
@@ -50,42 +53,43 @@ class JsonEmitReporter : public benchmark::ConsoleReporter {
 
   void Finalize() override {
     ConsoleReporter::Finalize();
-    std::FILE* out = std::fopen(path_.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "[could not write %s]\n", path_.c_str());
-      return;
-    }
-    std::fprintf(out, "{\n");
+    JsonWriter json;
+    json.BeginObject();
     // Machine context first: perf gates that consume this file (the grid
     // scaling check) must judge ratios against the cores of the machine
     // that MEASURED them, not whatever machine later runs the gate.
-    std::fprintf(out,
-                 "  \"_context\": {\"hardware_concurrency\": %u}%s\n",
-                 std::thread::hardware_concurrency(),
-                 entries_.empty() ? "" : ",");
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
+    json.Key("_context");
+    json.BeginObject();
+    json.Key("hardware_concurrency");
+    json.Int(std::thread::hardware_concurrency());
+    json.EndObject();
+    for (const Entry& e : entries_) {
+      json.Key(e.name);
+      json.BeginObject();
+      json.Key("ns_per_op");
+      json.Double(e.ns_per_op);
       // items_per_second is only meaningful for benchmarks that set an item
-      // count; omit the field (rather than a misleading 0.000) otherwise.
+      // count; omit the field (rather than a misleading 0) otherwise.
       if (e.has_items_per_second) {
-        std::fprintf(out,
-                     "  \"%s\": {\"ns_per_op\": %.3f, \"items_per_second\": "
-                     "%.3f, \"iterations\": %lld}%s\n",
-                     e.name.c_str(), e.ns_per_op, e.items_per_second,
-                     static_cast<long long>(e.iterations),
-                     i + 1 < entries_.size() ? "," : "");
-      } else {
-        std::fprintf(out,
-                     "  \"%s\": {\"ns_per_op\": %.3f, \"iterations\": %lld}%s\n",
-                     e.name.c_str(), e.ns_per_op,
-                     static_cast<long long>(e.iterations),
-                     i + 1 < entries_.size() ? "," : "");
+        json.Key("items_per_second");
+        json.Double(e.items_per_second);
       }
+      json.Key("iterations");
+      json.Int(e.iterations);
+      json.EndObject();
     }
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-    std::fprintf(stderr, "[benchmark json written to %s]\n", path_.c_str());
+    json.EndObject();
+    if (WriteTextFile(path_, json.str())) {
+      std::fprintf(stderr, "[benchmark json written to %s]\n", path_.c_str());
+    } else {
+      std::fprintf(stderr, "error: could not write %s\n", path_.c_str());
+      write_failed_ = true;
+    }
   }
+
+  // True when Finalize could not write the JSON file; the bench then exits
+  // non-zero, like the other BENCH_*.json writers.
+  bool write_failed() const { return write_failed_; }
 
  private:
   struct Entry {
@@ -98,6 +102,7 @@ class JsonEmitReporter : public benchmark::ConsoleReporter {
 
   std::string path_;
   std::vector<Entry> entries_;
+  bool write_failed_ = false;
 };
 
 }  // namespace spotcheck

@@ -8,11 +8,14 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/csv_out.h"
 #include "src/chaos/chaos_config.h"
 #include "src/common/flags.h"
+#include "src/common/text_file.h"
 #include "src/core/parallel_evaluation.h"
 #include "src/obs/grid_summary.h"
 #include "src/obs/trace.h"
@@ -82,18 +85,12 @@ inline GridBenchArgs ParseGridBenchArgs(int argc, const char* const* argv) {
   return args;
 }
 
-// Writes one cell's run report to <dir>/<bench>/<cell>/run_report.json.
-// No-op when reports are disabled; I/O failures warn but never abort the
-// bench.
-inline void WriteCellRunReport(const std::string& dir, const std::string& bench,
-                               const std::string& cell,
-                               const EvaluationResult& result) {
-  if (dir.empty() || result.report == nullptr) {
-    return;
-  }
-  const std::string path = dir + "/" + bench + "/" + cell + "/run_report.json";
-  if (!result.report->WriteTo(path)) {
-    std::fprintf(stderr, "warning: could not write run report %s\n",
+// Writes one observability artifact. One that cannot be written warns and
+// the bench goes on: the printed table is the primary output.
+inline void WriteArtifact(const char* what, const std::string& path,
+                          std::string_view text) {
+  if (!WriteTextFile(path, text)) {
+    std::fprintf(stderr, "warning: could not write %s %s\n", what,
                  path.c_str());
   }
 }
@@ -101,60 +98,90 @@ inline void WriteCellRunReport(const std::string& dir, const std::string& bench,
 // Per-cell + grid-level artifacts: run reports (--run-report-dir), Chrome
 // traces (--trace-dir), one merged grid_summary.json next to the cell
 // directories of whichever artifact dir is active (including the
-// per-worker "contention" breakdown when the runner produced one), and --
-// when the pool profiled itself -- <trace-dir>/<bench>/grid_workers.json
-// with one wall-clock track per grid worker.
+// per-worker "contention" breakdown), and -- when the pool profiled itself
+// -- <trace-dir>/<bench>/grid_workers.json with one wall-clock track per
+// grid worker.
 inline void WriteGridArtifacts(const GridBenchArgs& args,
                                const std::string& bench,
                                const std::vector<std::string>& cells,
                                const std::vector<EvaluationResult>& results,
-                               const SpanTracer* worker_tracer = nullptr,
-                               const GridContentionReport* contention = nullptr) {
+                               const SpanTracer* worker_tracer,
+                               const GridContentionReport& contention) {
   if (args.run_report_dir.empty() && args.trace_dir.empty() &&
       args.timeseries_dir.empty()) {
     return;
   }
-  if (worker_tracer != nullptr && !args.trace_dir.empty()) {
-    const std::string path =
-        args.trace_dir + "/" + bench + "/grid_workers.json";
-    if (!worker_tracer->WriteTo(path)) {
-      std::fprintf(stderr, "warning: could not write worker trace %s\n",
-                   path.c_str());
-    }
+  if (worker_tracer != nullptr) {
+    WriteArtifact("worker trace",
+                  args.trace_dir + "/" + bench + "/grid_workers.json",
+                  worker_tracer->ToChromeTraceJson());
   }
   std::vector<std::shared_ptr<const RunReport>> reports;
   for (size_t i = 0; i < results.size(); ++i) {
-    WriteCellRunReport(args.run_report_dir, bench, cells[i], results[i]);
-    if (!args.trace_dir.empty() && results[i].trace != nullptr) {
-      const std::string path =
-          args.trace_dir + "/" + bench + "/" + cells[i] + "/trace.json";
-      if (!results[i].trace->WriteTo(path)) {
-        std::fprintf(stderr, "warning: could not write trace %s\n",
-                     path.c_str());
-      }
+    const EvaluationResult& result = results[i];
+    const std::string cell = "/" + bench + "/" + cells[i] + "/";
+    if (!args.run_report_dir.empty() && result.report != nullptr) {
+      WriteArtifact("run report",
+                    args.run_report_dir + cell + "run_report.json",
+                    result.report->ToJson());
     }
-    if (!args.timeseries_dir.empty() && results[i].timeseries != nullptr) {
-      const std::string path = args.timeseries_dir + "/" + bench + "/" +
-                               cells[i] + "/timeseries.json";
-      if (!results[i].timeseries->WriteTo(path)) {
-        std::fprintf(stderr, "warning: could not write timeseries %s\n",
-                     path.c_str());
-      }
+    if (!args.trace_dir.empty() && result.trace != nullptr) {
+      WriteArtifact("trace", args.trace_dir + cell + "trace.json",
+                    result.trace->ToChromeTraceJson());
     }
-    if (results[i].report != nullptr) {
-      reports.push_back(results[i].report);
+    if (!args.timeseries_dir.empty() && result.timeseries != nullptr) {
+      WriteArtifact("timeseries",
+                    args.timeseries_dir + cell + "timeseries.json",
+                    result.timeseries->ToJson());
+    }
+    if (result.report != nullptr) {
+      reports.push_back(result.report);
     }
   }
   const std::string& summary_root =
       !args.run_report_dir.empty()
           ? args.run_report_dir
           : (!args.trace_dir.empty() ? args.trace_dir : args.timeseries_dir);
-  const std::string summary_path =
-      summary_root + "/" + bench + "/grid_summary.json";
-  if (!WriteGridSummary(summary_path, reports, /*max_slowest=*/10, contention)) {
-    std::fprintf(stderr, "warning: could not write grid summary %s\n",
-                 summary_path.c_str());
+  WriteArtifact("grid summary",
+                summary_root + "/" + bench + "/grid_summary.json",
+                BuildGridSummaryJson(reports, /*max_slowest=*/10, &contention));
+}
+
+// Runs one grid bench's cells on the parallel grid runner (`args.jobs`
+// workers) and writes the artifacts its --*-dir flags ask for under
+// <dir>/<bench>/. `cells[i]` names `configs[i]`: its report label and its
+// artifact directory. Chaos comes from --chaos-level/--chaos-seed; span
+// tracing from --trace-dir, which also has the pool profile itself (one
+// wall-clock track per worker) so grid-scaling regressions show up in the
+// artifacts; the flight recorder (telemetry sampling plus event-cost
+// profiling, both behavior-free) from --timeseries-dir. Results come back
+// in input order.
+inline std::vector<EvaluationResult> RunGridBench(
+    const GridBenchArgs& args, const std::string& bench,
+    std::vector<EvaluationConfig> configs,
+    const std::vector<std::string>& cells) {
+  for (size_t i = 0; i < configs.size(); ++i) {
+    EvaluationConfig& config = configs[i];
+    config.chaos = ChaosConfigForLevel(args.chaos_level, args.chaos_seed);
+    config.collect_trace = !args.trace_dir.empty();
+    config.collect_timeseries = !args.timeseries_dir.empty();
+    config.collect_profile = !args.timeseries_dir.empty();
+    config.report_label = cells[i];
   }
+  std::unique_ptr<SpanTracer> worker_tracer;
+  if (!args.trace_dir.empty()) {
+    worker_tracer = std::make_unique<SpanTracer>();
+  }
+  GridRunOptions grid_options;
+  grid_options.jobs = args.jobs;
+  grid_options.worker_tracer = worker_tracer.get();
+  GridContentionReport contention;
+  grid_options.contention = &contention;
+  std::vector<EvaluationResult> results =
+      RunPolicyEvaluationGrid(configs, grid_options);
+  WriteGridArtifacts(args, bench, cells, results, worker_tracer.get(),
+                     contention);
+  return results;
 }
 
 // Prints one figure's grid and exports it to bench_out/<csv_name>.csv;
@@ -166,38 +193,15 @@ void PrintGrid(const char* header, const char* unit, const char* csv_name,
                MetricFn metric, const GridBenchArgs& args = {}) {
   std::vector<EvaluationConfig> configs;
   std::vector<std::string> cells;
-  configs.reserve(kTable2Policies.size() * kGridMechanisms.size());
-  cells.reserve(configs.capacity());
   for (const PaperPolicy& policy : kTable2Policies) {
     for (MigrationMechanism mechanism : kGridMechanisms) {
-      EvaluationConfig config = GridConfig(policy.spec, mechanism);
-      config.chaos = ChaosConfigForLevel(args.chaos_level, args.chaos_seed);
-      config.collect_trace = !args.trace_dir.empty();
-      // --timeseries-dir turns on the whole flight recorder: telemetry
-      // sampling plus event-cost profiling (both behavior-free).
-      config.collect_timeseries = !args.timeseries_dir.empty();
-      config.collect_profile = !args.timeseries_dir.empty();
+      configs.push_back(GridConfig(policy.spec, mechanism));
       cells.push_back(std::string(policy.label) + "_" +
                       std::string(MigrationMechanismName(mechanism)));
-      config.report_label = cells.back();
-      configs.push_back(config);
     }
   }
-  // With --trace-dir the pool also profiles itself (one wall-clock track
-  // per worker), so grid-scaling regressions show up in the artifacts.
-  std::unique_ptr<SpanTracer> worker_tracer;
-  if (!args.trace_dir.empty()) {
-    worker_tracer = std::make_unique<SpanTracer>();
-  }
-  GridRunOptions grid_options;
-  grid_options.jobs = args.jobs;
-  grid_options.worker_tracer = worker_tracer.get();
-  GridContentionReport contention;
-  grid_options.contention = &contention;
   const std::vector<EvaluationResult> results =
-      RunPolicyEvaluationGrid(configs, grid_options);
-  WriteGridArtifacts(args, csv_name, cells, results, worker_tracer.get(),
-                     &contention);
+      RunGridBench(args, csv_name, std::move(configs), cells);
 
   std::vector<std::string> csv_header = {"policy"};
   std::printf("%-10s", "policy");

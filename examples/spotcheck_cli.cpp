@@ -20,6 +20,7 @@
 #include <optional>
 
 #include "src/common/flags.h"
+#include "src/common/text_file.h"
 #include "src/core/controller.h"
 #include "src/core/evaluation.h"
 #include "src/market/trace_catalog.h"
@@ -160,11 +161,7 @@ int main(int argc, char** argv) {
     std::printf("\n%s", controller.DumpState().c_str());
   }
   if (!events_path.empty()) {
-    std::FILE* f = std::fopen(events_path.c_str(), "w");
-    if (f != nullptr) {
-      const std::string csv = controller.event_log().ToCsv();
-      std::fwrite(csv.data(), 1, csv.size(), f);
-      std::fclose(f);
+    if (WriteTextFile(events_path, controller.event_log().ToCsv())) {
       std::printf("event timeline (%zu events) written to %s\n",
                   controller.event_log().events().size(), events_path.c_str());
     } else {

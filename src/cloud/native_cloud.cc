@@ -440,13 +440,13 @@ void NativeCloud::AttachVolume(VolumeId volume, InstanceId instance,
   TraceOp("cloud.ebs_attach", instance, delay);
   sim_->ScheduleAfter(delay,
                       [this, volume, instance, done = std::move(done)]() {
-                        VolumeRecord& record = volumes_.At(volume);
-                        record.busy = false;
+                        VolumeRecord& rec = volumes_.At(volume);
+                        rec.busy = false;
                         const Instance* target2 = GetInstance(instance);
                         const bool ok = target2 != nullptr &&
                                         target2->state != InstanceState::kTerminated;
                         if (ok) {
-                          LinkVolume(volume, record, instance);
+                          LinkVolume(volume, rec, instance);
                         }
                         if (done) {
                           done(ok);
@@ -468,9 +468,9 @@ void NativeCloud::DetachVolume(VolumeId volume, std::function<void(bool)> done) 
   const SimDuration delay = OperationDelay(CloudOperation::kDetachVolume);
   TraceOp("cloud.ebs_detach", record->attached_to, delay);
   sim_->ScheduleAfter(delay, [this, volume, done = std::move(done)]() {
-                        VolumeRecord& record = volumes_.At(volume);
-                        record.busy = false;
-                        UnlinkVolume(volume, record);
+                        VolumeRecord& rec = volumes_.At(volume);
+                        rec.busy = false;
+                        UnlinkVolume(volume, rec);
                         if (done) {
                           done(true);
                         }
@@ -507,13 +507,13 @@ void NativeCloud::AssignAddress(AddressId address, InstanceId instance,
   TraceOp("cloud.eni_assign", instance, delay);
   sim_->ScheduleAfter(delay,
                       [this, address, instance, done = std::move(done)]() {
-                        AddressRecord& record = addresses_.At(address);
-                        record.busy = false;
+                        AddressRecord& rec = addresses_.At(address);
+                        rec.busy = false;
                         const Instance* target2 = GetInstance(instance);
                         const bool ok = target2 != nullptr &&
                                         target2->state != InstanceState::kTerminated;
                         if (ok) {
-                          LinkAddress(address, record, instance);
+                          LinkAddress(address, rec, instance);
                         }
                         if (done) {
                           done(ok);
@@ -535,9 +535,9 @@ void NativeCloud::UnassignAddress(AddressId address, std::function<void(bool)> d
   const SimDuration delay = OperationDelay(CloudOperation::kDetachInterface);
   TraceOp("cloud.eni_unassign", record->assigned_to, delay);
   sim_->ScheduleAfter(delay, [this, address, done = std::move(done)]() {
-                        AddressRecord& record = addresses_.At(address);
-                        record.busy = false;
-                        UnlinkAddress(address, record);
+                        AddressRecord& rec = addresses_.At(address);
+                        rec.busy = false;
+                        UnlinkAddress(address, rec);
                         if (done) {
                           done(true);
                         }

@@ -53,15 +53,6 @@ std::string CsvWriter::ToString() const {
   return out;
 }
 
-bool CsvWriter::WriteFile(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) {
-    return false;
-  }
-  f << ToString();
-  return static_cast<bool>(f);
-}
-
 CsvReader CsvReader::FromString(std::string_view text, bool has_header) {
   CsvReader reader;
   std::istringstream in{std::string(text)};

@@ -21,8 +21,6 @@ class CsvWriter {
   void AddRow(const std::vector<std::string>& fields);
   // Serializes all rows, '\n'-terminated.
   std::string ToString() const;
-  // Writes to a file; returns false on I/O error.
-  bool WriteFile(const std::string& path) const;
 
  private:
   std::vector<std::string> rows_;

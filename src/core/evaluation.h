@@ -121,14 +121,14 @@ struct EvaluationResult {
   // comparisons -- the numeric fields above are the contract.
   std::shared_ptr<const RunReport> report;
   // The cell's span record (null unless collect_trace); export with
-  // SpanTracer::WriteTo or summarize with AnalyzeTrace. Excluded from
+  // ToChromeTraceJson or summarize with AnalyzeTrace. Excluded from
   // determinism comparisons like the report.
   std::shared_ptr<const SpanTracer> trace;
   // The cell's event-cost profile (null unless collect_profile). Wall-clock
   // contents; excluded from determinism comparisons.
   std::shared_ptr<const EventCostProfiler> profile;
   // The cell's telemetry recorder (null unless collect_timeseries); export
-  // the full columnar document with TimeSeriesRecorder::WriteTo. Sample
+  // the full columnar document with TimeSeriesRecorder::ToJson. Sample
   // values are deterministic, but excluded from the numeric contract like
   // the report.
   std::shared_ptr<const TimeSeriesRecorder> timeseries;

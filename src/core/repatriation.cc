@@ -142,9 +142,10 @@ void RepatriationScheduler::TryRepatriate(const MarketKey& key) {
       } else {
         ctx_->engine->LiveMigrate(
             vm, [this, &vm, &dest](const MigrationOutcome&) {
-              const auto it = move_spans_.find(vm.id());
+              const auto span_it = move_spans_.find(vm.id());
               const ScopedTraceParent parent(
-                  ctx_->tracer, it != move_spans_.end() ? it->second : 0);
+                  ctx_->tracer,
+                  span_it != move_spans_.end() ? span_it->second : 0);
               ctx_->placement->MoveVmToHost(vm, dest);
               EndMoveSpan(vm.id(), "completed");
             });

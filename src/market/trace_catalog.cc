@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/text_file.h"
 #include "src/market/spot_price_process.h"
 
 namespace spotcheck {
@@ -160,18 +161,6 @@ std::shared_ptr<const PriceTrace> TraceCatalog::GetOrGenerate(MarketKey key,
   return trace;
 }
 
-std::shared_ptr<const PriceTrace> TraceCatalog::GetOrGenerate(MarketKey key,
-                                                              SimDuration horizon,
-                                                              uint64_t seed,
-                                                              bool* was_hit) {
-  Lookup info;
-  auto trace = GetOrGenerate(key, horizon, seed, &info);
-  if (was_hit != nullptr) {
-    *was_hit = info.hit;
-  }
-  return trace;
-}
-
 TraceCatalog::Stats TraceCatalog::stats() const {
   Stats stats;
   for (size_t i = 0; i < kNumShards; ++i) {
@@ -274,16 +263,9 @@ TraceLoadReport LoadTraceDirectory(MarketPlace& markets,
 
 bool SaveTrace(const MarketKey& key, const PriceTrace& trace,
                const std::string& directory) {
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
   const std::filesystem::path path =
       std::filesystem::path(directory) / (key.ToString() + ".csv");
-  std::ofstream file(path);
-  if (!file) {
-    return false;
-  }
-  file << trace.ToCsv();
-  return static_cast<bool>(file);
+  return WriteTextFile(path.string(), trace.ToCsv());
 }
 
 }  // namespace spotcheck

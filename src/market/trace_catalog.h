@@ -83,12 +83,7 @@ class TraceCatalog {
   std::shared_ptr<const PriceTrace> GetOrGenerate(MarketKey key,
                                                   SimDuration horizon,
                                                   uint64_t seed,
-                                                  Lookup* info);
-  // Back-compat shim: `was_hit` reports whether the trace was already cached.
-  std::shared_ptr<const PriceTrace> GetOrGenerate(MarketKey key,
-                                                  SimDuration horizon,
-                                                  uint64_t seed,
-                                                  bool* was_hit = nullptr);
+                                                  Lookup* info = nullptr);
 
   // Aggregated + per-shard counters. Lock-free (atomic reads), so Stats()
   // never contends with Lookup traffic.

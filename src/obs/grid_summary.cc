@@ -1,10 +1,7 @@
 #include "src/obs/grid_summary.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <map>
-#include <system_error>
 
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
@@ -295,27 +292,6 @@ std::string BuildGridSummaryJson(
 
   json.EndObject();
   return json.str();
-}
-
-bool WriteGridSummary(
-    const std::string& path,
-    const std::vector<std::shared_ptr<const RunReport>>& reports,
-    size_t max_slowest, const GridContentionReport* contention) {
-  const std::filesystem::path fs_path(path);
-  if (fs_path.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(fs_path.parent_path(), ec);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string text =
-      BuildGridSummaryJson(reports, max_slowest, contention);
-  const bool write_ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  const bool close_ok = std::fclose(f) == 0;
-  return write_ok && close_ok;
 }
 
 }  // namespace spotcheck

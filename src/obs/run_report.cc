@@ -1,9 +1,5 @@
 #include "src/obs/run_report.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <system_error>
-
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
 #include "src/obs/timeseries.h"
@@ -103,23 +99,6 @@ std::string RunReport::ToJson() const {
 
   json.EndObject();
   return json.str();
-}
-
-bool RunReport::WriteTo(const std::string& path) const {
-  const std::filesystem::path fs_path(path);
-  if (fs_path.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(fs_path.parent_path(), ec);
-    // A pre-existing directory is fine; only the fopen below decides failure.
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string text = ToJson();
-  const bool write_ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  const bool close_ok = std::fclose(f) == 0;
-  return write_ok && close_ok;
 }
 
 }  // namespace spotcheck

@@ -94,11 +94,6 @@ struct RunReport {
   //  "profile": {...}|null, "timeseries": {...}|null, "metrics": {...},
   //  "events": [...]}
   std::string ToJson() const;
-
-  // Writes ToJson() to `path` (creating parent directories); false on I/O
-  // error. The report is an observability artifact: callers should report
-  // failures without aborting the run.
-  bool WriteTo(const std::string& path) const;
 };
 
 }  // namespace spotcheck

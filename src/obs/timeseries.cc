@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <system_error>
 #include <utility>
 
 #include "src/obs/json.h"
@@ -171,23 +168,10 @@ void TimeSeriesRecorder::WriteJson(JsonWriter& json) const {
   json.EndObject();
 }
 
-bool TimeSeriesRecorder::WriteTo(const std::string& path) const {
-  const std::filesystem::path fs_path(path);
-  if (fs_path.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(fs_path.parent_path(), ec);
-    // A pre-existing directory is fine; only the fopen below decides failure.
-  }
+std::string TimeSeriesRecorder::ToJson() const {
   JsonWriter json;
   WriteJson(json);
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    return false;
-  }
-  const std::string& text = json.str();
-  const size_t written = std::fwrite(text.data(), 1, text.size(), out);
-  const bool ok = std::fclose(out) == 0 && written == text.size();
-  return ok;
+  return json.str();
 }
 
 }  // namespace spotcheck

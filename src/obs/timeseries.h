@@ -84,8 +84,8 @@ class TimeSeriesRecorder {
   // series moved the most between consecutive samples -- the "when did it
   // blow up" pointer.
   void WriteSummaryJson(JsonWriter& json) const;
-  // Writes the full document to `path`; false on I/O failure.
-  bool WriteTo(const std::string& path) const;
+  // WriteJson's document as a string (timeseries.json).
+  std::string ToJson() const;
 
  private:
   struct Series {

@@ -1,8 +1,5 @@
 #include "src/obs/trace.h"
 
-#include <cstdio>
-#include <filesystem>
-
 #include "src/obs/json.h"
 
 namespace spotcheck {
@@ -210,25 +207,6 @@ std::string SpanTracer::ToChromeTraceJson() const {
   JsonWriter json;
   WriteChromeTraceJson(json);
   return json.str();
-}
-
-bool SpanTracer::WriteTo(const std::string& path) const {
-  const std::filesystem::path file(path);
-  std::error_code ec;
-  if (file.has_parent_path()) {
-    std::filesystem::create_directories(file.parent_path(), ec);
-    if (ec) {
-      return false;
-    }
-  }
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  if (out == nullptr) {
-    return false;
-  }
-  const std::string text = ToChromeTraceJson();
-  const size_t written = std::fwrite(text.data(), 1, text.size(), out);
-  const bool closed = std::fclose(out) == 0;
-  return written == text.size() && closed;
 }
 
 }  // namespace spotcheck

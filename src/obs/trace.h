@@ -163,10 +163,6 @@ class SpanTracer {
   // with microsecond ts/dur (sim-time maps 1:1 to trace microseconds).
   void WriteChromeTraceJson(JsonWriter& json) const;
   std::string ToChromeTraceJson() const;
-  // Writes ToChromeTraceJson() to `path` (creating parent directories);
-  // false on I/O error. An observability artifact: callers should warn, not
-  // abort, on failure.
-  bool WriteTo(const std::string& path) const;
 
  private:
   TraceConfig config_;

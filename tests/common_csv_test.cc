@@ -6,6 +6,8 @@
 #include <fstream>
 #include <string>
 
+#include "src/common/text_file.h"
+
 namespace spotcheck {
 namespace {
 
@@ -65,7 +67,7 @@ TEST(CsvFileTest, WriteAndReadBack) {
   CsvWriter writer;
   writer.AddRow({"x", "y"});
   writer.AddRow({"1", "2"});
-  ASSERT_TRUE(writer.WriteFile(path));
+  ASSERT_TRUE(WriteTextFile(path, writer.ToString()));
   const CsvReader reader = CsvReader::FromFile(path, true);
   ASSERT_EQ(reader.rows().size(), 1u);
   EXPECT_EQ(reader.rows()[0][0], "1");

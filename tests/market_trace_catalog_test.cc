@@ -113,18 +113,19 @@ TEST(TraceCatalogCacheTest, SecondLookupReturnsSameTraceWithoutRegeneration) {
   const MarketKey key{InstanceType::kM3Medium, AvailabilityZone{0}};
   const SimDuration horizon = SimDuration::Days(30);
 
-  bool hit = true;
+  TraceCatalog::Lookup lookup;
+  lookup.hit = true;
   const std::shared_ptr<const PriceTrace> first =
-      catalog.GetOrGenerate(key, horizon, 7, &hit);
+      catalog.GetOrGenerate(key, horizon, 7, &lookup);
   ASSERT_NE(first, nullptr);
-  EXPECT_FALSE(hit);
+  EXPECT_FALSE(lookup.hit);
   EXPECT_FALSE(first->empty());
   EXPECT_EQ(catalog.stats().misses, 1);
   EXPECT_EQ(catalog.stats().hits, 0);
 
   const std::shared_ptr<const PriceTrace> second =
-      catalog.GetOrGenerate(key, horizon, 7, &hit);
-  EXPECT_TRUE(hit);
+      catalog.GetOrGenerate(key, horizon, 7, &lookup);
+  EXPECT_TRUE(lookup.hit);
   EXPECT_EQ(second.get(), first.get());  // the very same trace, not a copy
   EXPECT_EQ(catalog.stats().misses, 1);  // zero regeneration
   EXPECT_EQ(catalog.stats().hits, 1);

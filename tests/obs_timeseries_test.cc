@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/common/text_file.h"
 #include "src/obs/json.h"
 #include "tests/json_test_util.h"
 
@@ -142,7 +143,7 @@ TEST(TimeSeriesRecorderTest, WriteToCreatesParentDirectories) {
   TimeSeriesRecorder recorder;
   recorder.AddSeries("v", [] { return 3.0; });
   recorder.Sample(At(0));
-  ASSERT_TRUE(recorder.WriteTo(path));
+  ASSERT_TRUE(WriteTextFile(path, recorder.ToJson()));
 
   std::ifstream in(path);
   std::stringstream text;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 
+#include "src/common/text_file.h"
 #include "src/common/time.h"
 #include "src/obs/json.h"
 #include "src/obs/trace_analyzer.h"
@@ -185,7 +186,7 @@ TEST(SpanTracerTest, WriteToCreatesParentDirectories) {
   tracer.AddSpan(At(0), At(1), "x", "core", tracer.Track("sim"));
   const std::string path =
       testing::TempDir() + "/spotcheck_trace_test/nested/dir/trace.json";
-  ASSERT_TRUE(tracer.WriteTo(path));
+  ASSERT_TRUE(WriteTextFile(path, tracer.ToChromeTraceJson()));
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::string contents;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/chaos/chaos_config.h"
+#include "src/common/text_file.h"
 #include "src/core/evaluation.h"
 #include "src/core/parallel_evaluation.h"
 #include "src/obs/grid_summary.h"
@@ -107,7 +108,7 @@ TEST(TracePipelineTest, TraceJsonIsStructurallyValidForPerfetto) {
   ASSERT_NE(result.trace, nullptr);
   const std::string path =
       testing::TempDir() + "/spotcheck_pipeline/cell/trace.json";
-  ASSERT_TRUE(result.trace->WriteTo(path));
+  ASSERT_TRUE(WriteTextFile(path, result.trace->ToChromeTraceJson()));
 
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
@@ -284,7 +285,7 @@ TEST(TracePipelineTest, GridSummaryMergesCells) {
       PipelineResult().report, other_result.report};
   const std::string path =
       testing::TempDir() + "/spotcheck_pipeline/grid_summary.json";
-  ASSERT_TRUE(WriteGridSummary(path, reports));
+  ASSERT_TRUE(WriteTextFile(path, BuildGridSummaryJson(reports)));
 
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
