@@ -17,7 +17,7 @@
 #include "src/common/flags.h"
 #include "src/common/text_file.h"
 #include "src/core/parallel_evaluation.h"
-#include "src/obs/grid_summary.h"
+#include "src/core/run_report.h"
 #include "src/obs/trace.h"
 #include "src/policy/policy_spec.h"
 

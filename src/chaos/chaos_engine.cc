@@ -46,12 +46,9 @@ void ChaosEngine::Arm(const FaultPlan& plan) {
         return false;
       }
       MetricInc(spot_launch_faults_metric_);
-      RunReportEvent row;
-      row.time_s = sim_->Now().seconds();
-      row.kind = "chaos.spot-launch-fault";
-      row.market = instance.market.ToString();
-      row.detail = "spot launch swallowed by injected capacity shortage";
-      timeline_.push_back(std::move(row));
+      timeline_.push_back(ChaosTimelineEvent{
+          sim_->Now(), "chaos.spot-launch-fault", instance.market,
+          "spot launch swallowed by injected capacity shortage"});
       return true;
     });
   }
@@ -83,14 +80,13 @@ int64_t ChaosEngine::injected(FaultKind kind) const {
   return it == injected_.end() ? 0 : it->second;
 }
 
-void ChaosEngine::Record(const FaultEvent& event, std::string detail) {
+void ChaosEngine::Record(const FaultEvent& event, std::string detail,
+                         std::optional<MarketKey> market) {
   ++injected_[event.kind];
-  RunReportEvent row;
-  row.time_s = sim_->Now().seconds();
-  row.kind = "chaos.";
-  row.kind += FaultKindName(event.kind);
-  row.detail = std::move(detail);
-  timeline_.push_back(std::move(row));
+  std::string kind = "chaos.";
+  kind += FaultKindName(event.kind);
+  timeline_.push_back(ChaosTimelineEvent{sim_->Now(), std::move(kind), market,
+                                         std::move(detail)});
 }
 
 void ChaosEngine::FireInstanceFailure(const FaultEvent& event) {
@@ -112,8 +108,8 @@ void ChaosEngine::FireInstanceFailure(const FaultEvent& event) {
   }
   const Instance* victim = alive[draw % alive.size()];
   const InstanceId id = victim->id;
-  Record(event, "unwarned platform failure of " + id.ToString());
-  timeline_.back().market = victim->market.ToString();
+  Record(event, "unwarned platform failure of " + id.ToString(),
+         victim->market);
   MetricInc(instance_failures_metric_);
   cloud_->InjectInstanceFailure(id);
 }
@@ -147,8 +143,7 @@ void ChaosEngine::FirePriceShock(const FaultEvent& event) {
   if (!inserted) {
     it->second = std::max(it->second, until);
   }
-  Record(event, "price pinned at " + std::to_string(price) + " $/hr");
-  timeline_.back().market = key.ToString();
+  Record(event, "price pinned at " + std::to_string(price) + " $/hr", key);
   MetricInc(price_shocks_metric_);
   market->SetPriceOverride(price);
   sim_->ScheduleAt(until, [this, market, key]() {

@@ -9,15 +9,17 @@
 //   * capacity faults    -> NativeCloud spot-launch fault hook (window test),
 //   * backup degradation -> BackupPool::SetRestoreBandwidthScale.
 //
-// Every injection increments a chaos.* counter and appends a RunReportEvent,
-// so a soak run's fault history lands in the same timeline as the
-// controller's reactions to it. Two runs with the same (plan, workload seed)
-// produce identical injections and identical chaos.* totals.
+// Every injection increments a chaos.* counter and appends a
+// ChaosTimelineEvent, so a soak run's fault history lands in the run report
+// next to the controller's reactions to it. Two runs with the same (plan,
+// workload seed) produce identical injections and identical chaos.* totals.
 
 #ifndef SRC_CHAOS_CHAOS_ENGINE_H_
 #define SRC_CHAOS_CHAOS_ENGINE_H_
 
 #include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/backup/backup_pool.h"
@@ -26,7 +28,6 @@
 #include "src/common/rng.h"
 #include "src/market/spot_market.h"
 #include "src/obs/metrics.h"
-#include "src/obs/run_report.h"
 #include "src/sim/simulator.h"
 
 namespace spotcheck {
@@ -51,7 +52,11 @@ class ChaosEngine {
   int64_t skipped_instance_failures() const { return skipped_victimless_; }
 
   // Chronological chaos timeline, ready to merge into a RunReport.
-  const std::vector<RunReportEvent>& timeline() const { return timeline_; }
+  const std::vector<ChaosTimelineEvent>& timeline() const { return timeline_; }
+  // Hands the timeline over (the engine keeps an empty one).
+  std::vector<ChaosTimelineEvent> TakeTimeline() {
+    return std::exchange(timeline_, {});
+  }
 
  private:
   void FireInstanceFailure(const FaultEvent& event);
@@ -59,7 +64,8 @@ class ChaosEngine {
   void FirePriceShock(const FaultEvent& event);
   void FireCapacityFault(const FaultEvent& event);
   void FireBackupDegradation(const FaultEvent& event);
-  void Record(const FaultEvent& event, std::string detail);
+  void Record(const FaultEvent& event, std::string detail,
+              std::optional<MarketKey> market = std::nullopt);
 
   Simulator* sim_;
   NativeCloud* cloud_;
@@ -80,7 +86,7 @@ class ChaosEngine {
 
   std::map<FaultKind, int64_t> injected_;
   int64_t skipped_victimless_ = 0;
-  std::vector<RunReportEvent> timeline_;
+  std::vector<ChaosTimelineEvent> timeline_;
 
   MetricCounter* instance_failures_metric_ = nullptr;
   MetricCounter* victimless_metric_ = nullptr;

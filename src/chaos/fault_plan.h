@@ -13,6 +13,7 @@
 #ifndef SRC_CHAOS_FAULT_PLAN_H_
 #define SRC_CHAOS_FAULT_PLAN_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +47,17 @@ struct FaultEvent {
   double magnitude = 0.0;
 
   std::string ToString() const;
+};
+
+// One row of the chaos timeline a run actually produced: an injected fault,
+// or a spot launch swallowed by an active capacity fault. Written by the
+// ChaosEngine at the simulator's current time and merged with the
+// controller's events in the run report.
+struct ChaosTimelineEvent {
+  SimTime time;
+  std::string kind;                 // "chaos.<fault kind>"
+  std::optional<MarketKey> market;  // the pool hit, when one was
+  std::string detail;
 };
 
 class FaultPlan {

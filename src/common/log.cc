@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/common/time.h"
+
 namespace spotcheck {
 
 std::string FormatDuration(SimDuration d) {
@@ -38,11 +40,7 @@ void Logger::Write(LogLevel level, const std::string& message) {
     return;
   }
   static constexpr const char* kNames[] = {"DEBUG", "INFO", "WARN", "ERROR"};
-  std::string line;
-  if (time_source_) {
-    line += "[" + FormatTime(time_source_()) + "] ";
-  }
-  line += "[";
+  std::string line = "[";
   line += kNames[static_cast<int>(level)];
   line += "] ";
   line += message;

@@ -1,8 +1,7 @@
-// Leveled logging with simulated-time prefixes.
+// Leveled logging.
 //
 // Components log through LOG(level) << ...; the sink is stderr by default and
-// can be silenced (tests) or captured. When a simulation clock is registered,
-// each line is prefixed with the current simulated time.
+// can be silenced (tests) or captured.
 
 #ifndef SRC_COMMON_LOG_H_
 #define SRC_COMMON_LOG_H_
@@ -10,8 +9,6 @@
 #include <functional>
 #include <sstream>
 #include <string>
-
-#include "src/common/time.h"
 
 namespace spotcheck {
 
@@ -24,11 +21,6 @@ class Logger {
   void set_min_level(LogLevel level) { min_level_ = level; }
   LogLevel min_level() const { return min_level_; }
 
-  // Supplies the current simulated time for prefixes; pass nullptr to clear.
-  void set_time_source(std::function<SimTime()> source) {
-    time_source_ = std::move(source);
-  }
-
   // Redirects output (e.g. to a test buffer); pass nullptr to restore stderr.
   void set_sink(std::function<void(const std::string&)> sink) {
     sink_ = std::move(sink);
@@ -38,7 +30,6 @@ class Logger {
 
  private:
   LogLevel min_level_ = LogLevel::kWarning;
-  std::function<SimTime()> time_source_;
   std::function<void(const std::string&)> sink_;
 };
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <memory_resource>
 #include <string>
-#include <unordered_map>
 
 #include "src/chaos/chaos_engine.h"
 #include "src/chaos/fault_plan.h"
@@ -19,11 +17,12 @@
 namespace spotcheck {
 namespace {
 
-// Flattens the cell's config, results, and controller event timeline into a
-// self-contained RunReport that shares the (now-final) metrics registry.
+// Flattens the cell's config and results into a self-contained RunReport that
+// shares the (now-final) metrics registry and takes over the controller's
+// and chaos engine's timelines; both owners are destroyed right after.
 std::shared_ptr<const RunReport> BuildRunReport(
     const EvaluationConfig& config, const EvaluationResult& result,
-    const SpotCheckController& controller, const ChaosEngine* chaos,
+    SpotCheckController& controller, ChaosEngine* chaos,
     std::shared_ptr<const MetricsRegistry> metrics,
     std::shared_ptr<const SpanTracer> trace,
     std::shared_ptr<const EventCostProfiler> profile,
@@ -83,50 +82,9 @@ std::shared_ptr<const RunReport> BuildRunReport(
   report->trace = std::move(trace);
   report->profile = std::move(profile);
   report->timeseries = std::move(timeseries);
-  const std::vector<ControllerEvent>& events = controller.event_log().events();
-  report->events.reserve(events.size() +
-                         (chaos != nullptr ? chaos->timeline().size() : 0));
-  // Tens of thousands of event rows name the same handful of markets and a
-  // few thousand ids; stringify each distinct one once instead of per row.
-  std::map<MarketKey, std::string> market_names;
-  std::unordered_map<uint64_t, std::string> vm_names;
-  std::unordered_map<uint64_t, std::string> host_names;
-  for (const ControllerEvent& event : events) {
-    RunReportEvent row;
-    row.time_s = event.time.seconds();
-    row.kind = std::string(ControllerEventKindName(event.kind));
-    if (event.vm.valid()) {
-      auto [it, inserted] = vm_names.try_emplace(event.vm.value());
-      if (inserted) {
-        it->second = event.vm.ToString();
-      }
-      row.vm = it->second;
-    }
-    if (event.host.valid()) {
-      auto [it, inserted] = host_names.try_emplace(event.host.value());
-      if (inserted) {
-        it->second = event.host.ToString();
-      }
-      row.host = it->second;
-    }
-    {
-      auto [it, inserted] = market_names.try_emplace(event.market);
-      if (inserted) {
-        it->second = event.market.ToString();
-      }
-      row.market = it->second;
-    }
-    row.detail = event.detail;
-    report->events.push_back(std::move(row));
-  }
-  if (chaos != nullptr && !chaos->timeline().empty()) {
-    // Interleave injected faults with the controller's reactions to them.
-    report->events.insert(report->events.end(), chaos->timeline().begin(),
-                          chaos->timeline().end());
-    std::stable_sort(report->events.begin(), report->events.end(),
-                     [](const RunReportEvent& a, const RunReportEvent& b) {
-                       return a.time_s < b.time_s;
-                     });
+  report->events = controller.mutable_event_log().TakeEvents();
+  if (chaos != nullptr) {
+    report->chaos_events = chaos->TakeTimeline();
   }
   report->trace_cache_hits = result.trace_cache_hits;
   report->trace_cache_misses = result.trace_cache_misses;

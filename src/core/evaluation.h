@@ -15,8 +15,8 @@
 
 #include "src/chaos/chaos_config.h"
 #include "src/core/controller.h"
+#include "src/core/run_report.h"
 #include "src/obs/profiler.h"
-#include "src/obs/run_report.h"
 #include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
 
@@ -112,8 +112,8 @@ struct EvaluationResult {
   int64_t trace_cache_misses = 0;
   // Wall-clock diagnostics (excluded from determinism comparisons like the
   // cache counters): time blocked on the shared TraceCatalog, and time spent
-  // building this cell's RunReport (the allocation-heavy tail of a cell; the
-  // grid's per-worker contention report aggregates both).
+  // building this cell's RunReport (the grid's per-worker contention report
+  // aggregates both).
   int64_t trace_cache_lock_wait_ns = 0;
   int64_t report_build_ns = 0;
   // Full observability report (metrics, controller events, summary); null

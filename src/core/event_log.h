@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -52,6 +53,11 @@ class ControllerEventLog {
               InstanceId host, MarketKey market, std::string detail = {});
 
   const std::vector<ControllerEvent>& events() const { return events_; }
+  // Hands the timeline over (the log keeps an empty one); the run report
+  // takes it this way when a cell finishes.
+  std::vector<ControllerEvent> TakeEvents() {
+    return std::exchange(events_, {});
+  }
   int64_t CountOf(ControllerEventKind kind) const;
   std::vector<const ControllerEvent*> ForVm(NestedVmId vm) const;
 

@@ -76,7 +76,8 @@ struct MarketKey {
 
   auto operator<=>(const MarketKey&) const = default;
   std::string ToString() const {
-    // Single allocation (report building stringifies markets in bulk).
+    // Single allocation (span attributes and event exports stringify
+    // markets in bulk).
     const std::string_view name = InstanceTypeName(type);
     std::string out;
     out.reserve(name.size() + 17);

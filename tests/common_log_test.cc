@@ -18,7 +18,6 @@ class LogTest : public testing::Test {
   }
   ~LogTest() override {
     Logger::Get().set_sink(nullptr);
-    Logger::Get().set_time_source(nullptr);
     Logger::Get().set_min_level(saved_level_);
   }
 
@@ -43,15 +42,6 @@ TEST_F(LogTest, StreamsValues) {
   SPOTCHECK_LOG(kInfo) << "vm " << 42 << " at $" << 0.07;
   ASSERT_EQ(lines_.size(), 1u);
   EXPECT_NE(lines_[0].find("vm 42 at $0.07"), std::string::npos);
-}
-
-TEST_F(LogTest, TimeSourcePrefixesSimTime) {
-  Logger::Get().set_min_level(LogLevel::kInfo);
-  Logger::Get().set_time_source(
-      []() { return SimTime::FromSeconds(3723.5); });
-  SPOTCHECK_LOG(kInfo) << "tick";
-  ASSERT_EQ(lines_.size(), 1u);
-  EXPECT_NE(lines_[0].find("[01:02:03.500]"), std::string::npos);
 }
 
 TEST_F(LogTest, NoTimeSourceNoPrefix) {

@@ -188,8 +188,9 @@ TEST(EvaluationTest, RunReportReconcilesWithResultCounters) {
   EXPECT_GT(counter("sim.events_fired"), 0);
   // The event timeline is populated and every event carries a kind.
   EXPECT_FALSE(report.events.empty());
-  for (const RunReportEvent& event : report.events) {
-    EXPECT_FALSE(event.kind.empty());
+  for (const ControllerEvent& event : report.events) {
+    EXPECT_FALSE(ControllerEventKindName(event.kind).empty());
+    EXPECT_NE(ControllerEventKindName(event.kind), "unknown");
   }
 }
 

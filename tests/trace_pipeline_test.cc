@@ -21,7 +21,7 @@
 #include "src/common/text_file.h"
 #include "src/core/evaluation.h"
 #include "src/core/parallel_evaluation.h"
-#include "src/obs/grid_summary.h"
+#include "src/core/run_report.h"
 #include "src/obs/trace.h"
 #include "src/obs/trace_analyzer.h"
 #include "tests/json_test_util.h"
@@ -218,22 +218,22 @@ TEST(TracePipelineTest, EvacuationSpansReconcileWithEventLog) {
   // Every lifecycle event in the controller log has its span, at the exact
   // simulated timestamp.
   int started = 0;
-  for (const RunReportEvent& event : result.report->events) {
-    if (event.kind == "evacuation-started") {
+  for (const ControllerEvent& event : result.report->events) {
+    const std::string vm = event.vm.ToString();
+    const double time_s = event.time.seconds();
+    if (event.kind == ControllerEventKind::kEvacuationStarted) {
       ++started;
-      EXPECT_TRUE(has_root(event.vm, "evacuation", event.time_s))
-          << event.vm << " @ " << event.time_s;
-    } else if (event.kind == "crash-recovery") {
+      EXPECT_TRUE(has_root(vm, "evacuation", time_s)) << vm << " @ " << time_s;
+    } else if (event.kind == ControllerEventKind::kCrashRecovery) {
       ++started;
-      EXPECT_TRUE(has_root(event.vm, "crash_recovery", event.time_s))
-          << event.vm << " @ " << event.time_s;
-    } else if (event.kind == "stateless-respawn") {
+      EXPECT_TRUE(has_root(vm, "crash_recovery", time_s))
+          << vm << " @ " << time_s;
+    } else if (event.kind == ControllerEventKind::kStatelessRespawn) {
       ++started;
-      EXPECT_TRUE(has_root(event.vm, "stateless_respawn", event.time_s))
-          << event.vm << " @ " << event.time_s;
-    } else if (event.kind == "evacuation-completed") {
-      EXPECT_TRUE(has_root_ending(event.vm, event.time_s))
-          << event.vm << " @ " << event.time_s;
+      EXPECT_TRUE(has_root(vm, "stateless_respawn", time_s))
+          << vm << " @ " << time_s;
+    } else if (event.kind == ControllerEventKind::kEvacuationCompleted) {
+      EXPECT_TRUE(has_root_ending(vm, time_s)) << vm << " @ " << time_s;
     }
   }
   EXPECT_GT(started, 0);
