@@ -149,8 +149,8 @@ struct EvaluationTraceKey {
 // zones, at the horizon/seed NativeCloud passes through. Empty when the
 // config pre-populates correlated traces (market_coupling > 0), which
 // bypass the catalog. The grid runner generates these once, on the calling
-// thread, before spawning workers -- otherwise every cold worker piles onto
-// the single-flight generation of the same first trace.
+// thread, before spawning workers -- otherwise every cold worker waits
+// behind the generation of the same first trace.
 std::vector<EvaluationTraceKey> EvaluationTraceKeys(
     const EvaluationConfig& config);
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <set>
@@ -109,13 +111,13 @@ int ResolveEvaluationJobsFor(int jobs, const char* env, unsigned hardware) {
     return jobs;
   }
   if (env != nullptr) {
-    try {
-      const int parsed = std::stoi(env);
-      if (parsed > 0) {
-        return parsed;
-      }
-    } catch (...) {
-      // Unparsable value: fall through to hardware concurrency.
+    // Only a whole-string positive integer counts; anything else ("junk",
+    // "2x", " 2") falls through to hardware concurrency.
+    const char* end = env + std::strlen(env);
+    int parsed = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, parsed);
+    if (ec == std::errc() && ptr == end && parsed > 0) {
+      return parsed;
     }
   }
   // hardware_concurrency() may legitimately return 0 ("not computable");
@@ -159,8 +161,8 @@ std::vector<EvaluationResult> RunPolicyEvaluationGrid(
 
   // Generate shared traces before any worker exists. Otherwise every cold
   // worker's first cell wants the same (market, horizon, seed) traces and
-  // the whole pool stalls single-file on the single-flight markers.
-  if (workers > 1 && options.prewarm_traces) {
+  // the whole pool waits behind one generation at a time.
+  if (workers > 1) {
     const auto prewarm_started = Clock::now();
     report.prewarm_traces = PrewarmTraces(configs);
     report.prewarm_ns = ElapsedNs(prewarm_started);

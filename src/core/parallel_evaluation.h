@@ -9,8 +9,9 @@
 // run regardless of worker count or scheduling order.
 //
 // Scaling contract (DESIGN.md section 13): the pool itself must never
-// serialize its workers. Shared traces are pre-warmed once on the calling
-// thread before any worker spawns (no cold-start single-flight convoy),
+// serialize its workers. With more than one worker, every shared trace is
+// generated once on the calling thread before any worker spawns, so workers
+// only ever hit the catalog and never wait behind a generation;
 // worker-profile spans are buffered per worker and merged after join (no
 // tracer mutex on the cell path), and all per-worker state lives in
 // cache-line-padded slots (no false sharing). Each run can emit a
@@ -29,7 +30,8 @@ class SpanTracer;
 struct GridContentionReport;  // src/obs/grid_summary.h
 
 // Resolves a worker count: `jobs` if positive, else the SPOTCHECK_JOBS
-// environment variable if set to a positive integer, else
+// environment variable if it is exactly a positive integer (no sign,
+// whitespace or trailing characters), else
 // std::thread::hardware_concurrency() (at least 1).
 int ResolveEvaluationJobs(int jobs = 0);
 
@@ -55,12 +57,6 @@ struct GridRunOptions {
   // observational: results are bit-identical with or without it. Must
   // outlive the call.
   SpanTracer* worker_tracer = nullptr;
-  // Generate every trace the cells will need once, on the calling thread,
-  // before spawning workers. Without this a cold multi-worker grid starts
-  // with every worker blocked on the single-flight generation of the same
-  // (market, horizon, seed) traces. Has no effect on results (catalog
-  // traces are deterministic per key); only on who generates when.
-  bool prewarm_traces = true;
   // When non-null, receives the per-worker contention breakdown (cells,
   // busy/report-build time, catalog hits/misses/lock-wait) plus the grid's
   // one-time costs. Must outlive the call.

@@ -112,7 +112,8 @@ class MarketPlace {
   int64_t trace_cache_hits() const { return trace_cache_hits_; }
   int64_t trace_cache_misses() const { return trace_cache_misses_; }
   // Wall time this MarketPlace's fetches spent blocked on the shared
-  // catalog (shard mutexes + single-flight waits). Observational only.
+  // catalog, including waits behind another thread's generation.
+  // Observational only.
   int64_t trace_cache_lock_wait_ns() const { return trace_cache_lock_wait_ns_; }
 
   // Registers market-shape gauges (market count, total price listeners) on

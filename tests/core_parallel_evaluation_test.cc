@@ -128,6 +128,10 @@ TEST(ParallelEvaluationTest, ResolveJobsForCoversEveryFallback) {
   EXPECT_EQ(ResolveEvaluationJobsFor(0, "0", 4), 4);
   EXPECT_EQ(ResolveEvaluationJobsFor(0, "-2", 4), 4);
   EXPECT_EQ(ResolveEvaluationJobsFor(0, "", 4), 4);
+  // Only a whole-string integer counts: trailing junk and leading
+  // whitespace fall through to hardware concurrency.
+  EXPECT_EQ(ResolveEvaluationJobsFor(0, "2x", 4), 4);
+  EXPECT_EQ(ResolveEvaluationJobsFor(0, " 2", 4), 4);
 }
 
 TEST(ParallelEvaluationTest, NeverSpawnsMoreWorkersThanCells) {
@@ -179,27 +183,6 @@ TEST(ParallelEvaluationTest, PrewarmEliminatesWorkerCatalogMisses) {
         return sum + w.catalog_misses;
       });
   EXPECT_EQ(worker_misses, 0);
-}
-
-TEST(ParallelEvaluationTest, PrewarmCanBeDisabled) {
-  const std::vector<EvaluationConfig> configs = SmallGrid();
-  TraceCatalog::Global().Clear();
-  GridContentionReport contention;
-  GridRunOptions options;
-  options.jobs = 2;
-  options.prewarm_traces = false;
-  options.contention = &contention;
-  const std::vector<EvaluationResult> results =
-      RunPolicyEvaluationGrid(configs, options);
-  EXPECT_EQ(contention.prewarm_traces, 0);
-  EXPECT_EQ(contention.prewarm_ns, 0);
-  // Some worker had to generate the traces itself.
-  int64_t worker_misses = 0;
-  for (const GridWorkerProfile& w : contention.workers) {
-    worker_misses += w.catalog_misses;
-  }
-  EXPECT_GT(worker_misses, 0);
-  ASSERT_EQ(results.size(), configs.size());
 }
 
 TEST(ParallelEvaluationTest, ContentionReportAccountsForEveryCell) {

@@ -3,8 +3,8 @@
 // 10-12 and Table 3) must produce bitwise-equal results at --jobs 1, 2,
 // and 8. This is the contract that lets the benches run the grid at any
 // worker count and still emit byte-identical figure CSVs: cells share
-// nothing mutable except the sharded TraceCatalog, whose generation path
-// must be scheduling-independent. A shorter horizon than the benches keeps
+// nothing mutable except the TraceCatalog, whose generation path must be
+// scheduling-independent. A shorter horizon than the benches keeps
 // the sweep affordable in unoptimized builds; the full-length 180-day
 // cells are covered by determinism_golden_test.
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -51,6 +52,11 @@ TEST(ParseMarketKeyTest, InvalidNames) {
   EXPECT_FALSE(ParseMarketKey("m3.medium@az-0").has_value());
   EXPECT_FALSE(ParseMarketKey("m3.medium@zone--1").has_value());
   EXPECT_FALSE(ParseMarketKey("m3.medium@zone-x").has_value());
+  // The zone suffix must be exactly a number: no trailing junk, whitespace
+  // or sign.
+  EXPECT_FALSE(ParseMarketKey("m3.medium@zone-1x").has_value());
+  EXPECT_FALSE(ParseMarketKey("m3.medium@zone- 1").has_value());
+  EXPECT_FALSE(ParseMarketKey("m3.medium@zone-+1").has_value());
   EXPECT_FALSE(ParseMarketKey("").has_value());
 }
 
@@ -102,6 +108,32 @@ TEST_F(TraceCatalogTest, MultipleMarkets) {
   const TraceLoadReport report = LoadTraceDirectory(markets, dir_);
   EXPECT_EQ(report.loaded.size(), 2u);
   EXPECT_EQ(markets.All().size(), 2u);
+}
+
+// Attach order sets the seq numbers of same-timestamp price changes, so the
+// load order must not depend on the filesystem's directory order.
+TEST_F(TraceCatalogTest, LoadsInFileNameOrder) {
+  std::vector<MarketKey> keys;
+  for (const InstanceType type :
+       {InstanceType::kC3Large, InstanceType::kC3Xlarge, InstanceType::kM3Large,
+        InstanceType::kM3Medium, InstanceType::kR3Large}) {
+    for (int zone = 0; zone < 3; ++zone) {
+      keys.push_back(MarketKey{type, AvailabilityZone{zone}});
+    }
+  }
+  std::sort(keys.begin(), keys.end(),
+            [](const MarketKey& a, const MarketKey& b) {
+              return a.ToString() < b.ToString();
+            });
+  // Create the files in reverse name order.
+  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+    ASSERT_TRUE(SaveTrace(*it, MakeTrace(), dir_));
+  }
+
+  Simulator sim;
+  MarketPlace markets(&sim);
+  const TraceLoadReport report = LoadTraceDirectory(markets, dir_);
+  EXPECT_EQ(report.loaded, keys);
 }
 
 // TraceCatalog (the process-wide generated-trace memo) tests share the
@@ -159,6 +191,24 @@ TEST(TraceCatalogCacheTest, ClearResetsEntriesAndCounters) {
   EXPECT_EQ(catalog.size(), 0u);
   EXPECT_EQ(catalog.stats().hits, 0);
   EXPECT_EQ(catalog.stats().misses, 0);
+}
+
+TEST(TraceCatalogCacheTest, ClearInvalidatesThisThreadsEarlierHits) {
+  TraceCatalog& catalog = TraceCatalog::Global();
+  catalog.Clear();
+  const MarketKey key{InstanceType::kC3Large, AvailabilityZone{4}};
+  const auto first = catalog.GetOrGenerate(key, SimDuration::Days(10), 2);
+  catalog.GetOrGenerate(key, SimDuration::Days(10), 2);  // a hit
+  catalog.Clear();
+
+  TraceCatalog::Lookup lookup;
+  lookup.hit = true;
+  const auto again = catalog.GetOrGenerate(key, SimDuration::Days(10), 2, &lookup);
+  EXPECT_FALSE(lookup.hit);
+  EXPECT_EQ(catalog.stats().misses, 1);
+  EXPECT_EQ(catalog.stats().hits, 0);
+  EXPECT_NE(again.get(), first.get());  // regenerated, not the dropped copy
+  EXPECT_EQ(again->ToCsv(), first->ToCsv());
 }
 
 TEST(TraceCatalogCacheTest, ConcurrentLookupsGenerateOnceAndShare) {
